@@ -5,7 +5,8 @@ GO ?= go
 # check is the full CI gate: vet, build, the default test suite (unit +
 # determinism + golden, in shuffled order), and the race-detector pass over
 # the concurrent packages (the experiment engine, the bench cells it runs,
-# the simulator they share, and the decision server).
+# the simulator they share, the decision server, the Q-table core whose
+# arenas feed its RCU publication, the wire codec, and the chaos proxy).
 check: vet build test race
 
 build:
@@ -26,7 +27,7 @@ test:
 	$(GO) test -shuffle=on ./...
 
 race:
-	$(GO) test -race ./internal/bench/... ./internal/sim/... ./internal/fault/... ./internal/hwpolicy/... ./internal/serve/... ./internal/obs/... ./internal/shard/...
+	$(GO) test -race ./internal/bench/... ./internal/sim/... ./internal/fault/... ./internal/hwpolicy/... ./internal/serve/... ./internal/obs/... ./internal/shard/... ./internal/core/... ./internal/wire/... ./internal/chaos/...
 
 # fuzz runs the fuzz targets for a short smoke window each; raise FUZZTIME
 # for a longer campaign.

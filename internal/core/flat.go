@@ -102,6 +102,15 @@ func (f *FlatTables) Clusters() int { return len(f.off) }
 // Width returns cluster's action count.
 func (f *FlatTables) Width(cluster int) int { return f.width[cluster] }
 
+// Row returns a read-only view of (cluster, state)'s action values inside
+// the arena, capped so an append cannot spill into the next row. Callers
+// must not write through it: the arena is shared by every reader.
+func (f *FlatTables) Row(cluster, state int) []float64 {
+	w := f.width[cluster]
+	start := f.off[cluster] + state*w
+	return f.arena[start : start+w : start+w]
+}
+
 // Argmax returns the greedy action for (cluster, state); ties break low,
 // matching argmaxF and the hardware comparator tree.
 func (f *FlatTables) Argmax(cluster, state int) int {

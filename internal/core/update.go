@@ -8,9 +8,10 @@
 // that remains once selection is elsewhere: a pair of Q-tables plus the
 // exact Double-Q TD step Agent.Step applies, driven by explicit
 // Transitions instead of an observation stream. It is single-goroutine by
-// design (the serve learner is the only writer); publication to readers
-// happens via Snapshot → immutable model swap, never by sharing these
-// tables.
+// design (the serve learner is the only writer). Readers never share these
+// tables: the updater keeps the greedy mean table up to date cell by cell,
+// and Publish hands out an immutable FlatTables copy of it — one arena
+// copy per publication, however large the tables.
 package core
 
 import (
@@ -37,11 +38,21 @@ type Transition struct {
 // same convention Agent.LoadTable uses), and the update rule mirrors
 // Agent.Step's DoubleQ branch: a fair coin from the updater's own seeded
 // stream picks the table to update, the other provides the bootstrap.
+//
+// q, q2 and mean share one row-major layout — every cluster's table packed
+// back to back, exactly as NewFlatTables packs them — so a (cluster,
+// state, action) cell is the same index in all three arenas. mean holds
+// (q+q2)/2 for every cell at all times: Apply recomputes the one cell its
+// TD step wrote, with the same expression Snapshot uses, so mean stays
+// bit-identical to Snapshot() without ever being rebuilt.
 type TDUpdater struct {
 	state   StateConfig
-	levels  []int
-	q       [][][]float64 // q[cluster][state][action]
-	q2      [][][]float64
+	off     []int // per-cluster arena offset of row 0
+	width   []int // per-cluster action count
+	states  []int // per-cluster state count
+	q       []float64
+	q2      []float64
+	mean    []float64
 	alpha   float64
 	gamma   float64
 	r       *rng.Rand
@@ -88,24 +99,26 @@ func NewTDUpdater(cfg Config, snap Snapshot, seed uint64, alpha, gamma float64) 
 			return nil, fmt.Errorf("core: cluster %d: %d states for %d actions, config wants %d",
 				c, len(tbl), actions, cfg.State.States(actions))
 		}
-		q := make([][]float64, len(tbl))
-		q2 := make([][]float64, len(tbl))
+		u.off = append(u.off, len(u.q))
+		u.width = append(u.width, actions)
+		u.states = append(u.states, len(tbl))
 		for s, row := range tbl {
 			if len(row) != actions {
 				return nil, fmt.Errorf("core: cluster %d: ragged row %d", c, s)
 			}
-			q[s] = append([]float64(nil), row...)
-			q2[s] = append([]float64(nil), row...)
+			u.q = append(u.q, row...)
 		}
-		u.levels = append(u.levels, actions)
-		u.q = append(u.q, q)
-		u.q2 = append(u.q2, q2)
+	}
+	u.q2 = append([]float64(nil), u.q...)
+	u.mean = make([]float64, len(u.q))
+	for i := range u.mean {
+		u.mean[i] = (u.q[i] + u.q2[i]) / 2
 	}
 	return u, nil
 }
 
 // Clusters returns the number of per-cluster agents.
-func (u *TDUpdater) Clusters() int { return len(u.levels) }
+func (u *TDUpdater) Clusters() int { return len(u.width) }
 
 // Applied returns the number of transitions applied so far.
 func (u *TDUpdater) Applied() uint64 { return u.applied }
@@ -115,10 +128,10 @@ func (u *TDUpdater) Applied() uint64 { return u.applied }
 // touching the tables or the coin stream, so a poisoned report can neither
 // corrupt the policy nor desynchronize a seeded replay.
 func (u *TDUpdater) Apply(t Transition) (float64, error) {
-	if t.Cluster < 0 || t.Cluster >= len(u.levels) {
-		return 0, fmt.Errorf("core: transition cluster %d out of [0,%d)", t.Cluster, len(u.levels))
+	if t.Cluster < 0 || t.Cluster >= len(u.width) {
+		return 0, fmt.Errorf("core: transition cluster %d out of [0,%d)", t.Cluster, len(u.width))
 	}
-	states, actions := len(u.q[t.Cluster]), u.levels[t.Cluster]
+	states, actions := u.states[t.Cluster], u.width[t.Cluster]
 	if t.State < 0 || t.State >= states || t.NextState < 0 || t.NextState >= states {
 		return 0, fmt.Errorf("core: transition states %d->%d out of [0,%d)", t.State, t.NextState, states)
 	}
@@ -128,32 +141,50 @@ func (u *TDUpdater) Apply(t Transition) (float64, error) {
 	if math.IsNaN(t.Reward) || math.IsInf(t.Reward, 0) {
 		return 0, fmt.Errorf("%w: reward %v", ErrBadObservation, t.Reward)
 	}
-	upd, eval := u.q[t.Cluster], u.q2[t.Cluster]
+	upd, eval := u.q, u.q2
 	if u.r.Bernoulli(0.5) {
 		upd, eval = eval, upd
 	}
-	idx, _ := argmaxF(upd[t.NextState])
-	td := t.Reward + u.gamma*eval[t.NextState][idx] - upd[t.State][t.Action]
-	upd[t.State][t.Action] += u.alpha * td
+	next := u.off[t.Cluster] + t.NextState*actions
+	cell := u.off[t.Cluster] + t.State*actions + t.Action
+	idx, _ := argmaxF(upd[next : next+actions])
+	td := t.Reward + u.gamma*eval[next+idx] - upd[cell]
+	upd[cell] += u.alpha * td
+	u.mean[cell] = (u.q[cell] + u.q2[cell]) / 2
 	u.applied++
 	return td, nil
 }
 
 // Snapshot returns the mean of the two tables — the greedy policy the
 // learned state implies, in the same form Agent.Table publishes, ready for
-// NewModel / EncodeCheckpoint.
+// NewModel / EncodeCheckpoint. It recomputes every cell from q and q2
+// rather than reading the maintained mean arena, which keeps it an
+// independent oracle for Publish.
 func (u *TDUpdater) Snapshot() Snapshot {
 	s := Snapshot{State: u.state}
-	for c := range u.q {
-		tbl := make([][]float64, len(u.q[c]))
-		for i, row := range u.q[c] {
-			out := make([]float64, len(row))
+	for c, w := range u.width {
+		tbl := make([][]float64, u.states[c])
+		for i := range tbl {
+			start := u.off[c] + i*w
+			row, row2 := u.q[start:start+w], u.q2[start:start+w]
+			out := make([]float64, w)
 			for j := range row {
-				out[j] = (row[j] + u.q2[c][i][j]) / 2
+				out[j] = (row[j] + row2[j]) / 2
 			}
 			tbl[i] = out
 		}
 		s.Tables = append(s.Tables, tbl)
 	}
 	return s
+}
+
+// Publish returns the greedy mean table as an immutable FlatTables: one
+// copy of the maintained mean arena, bit-identical to
+// NewFlatTables(u.Snapshot().Tables) and sharing the updater's (never
+// mutated) offsets and widths. Its cost is one allocation and one copy
+// whatever the table size or the number of updates since the last call.
+// For a shape NewFlatTables cannot pack (an action count above 255) the
+// result still serves Argmax and Row, but not Key.
+func (u *TDUpdater) Publish() *FlatTables {
+	return &FlatTables{arena: append([]float64(nil), u.mean...), off: u.off, width: u.width}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"rlpm/internal/rng"
@@ -232,5 +233,69 @@ func TestValidateObservation(t *testing.T) {
 				t.Fatalf("%s=%v: err = %v, want ErrBadObservation", f, v, err)
 			}
 		}
+	}
+}
+
+// TestTDUpdaterPublishMatchesSnapshot pins the maintained mean arena to its
+// oracle: after any mix of accepted and rejected transitions, Publish must
+// be bit-identical — arena, offsets and widths — to flattening the tables
+// Snapshot recomputes from q and q2.
+func TestTDUpdaterPublishMatchesSnapshot(t *testing.T) {
+	cfg := DefaultConfig()
+	levels := []int{4, 6}
+	u, err := NewTDUpdater(cfg, updaterSnapshot(cfg, levels...), 3, 0.5, 0.9)
+	if err != nil {
+		t.Fatalf("NewTDUpdater: %v", err)
+	}
+	r := rng.New(8)
+	check := func(step int) {
+		got, want := u.Publish(), NewFlatTables(u.Snapshot().Tables)
+		if len(got.arena) != len(want.arena) || !slices.Equal(got.off, want.off) || !slices.Equal(got.width, want.width) {
+			t.Fatalf("step %d: published layout off=%v width=%v len=%d, want off=%v width=%v len=%d",
+				step, got.off, got.width, len(got.arena), want.off, want.width, len(want.arena))
+		}
+		for i := range want.arena {
+			if math.Float64bits(got.arena[i]) != math.Float64bits(want.arena[i]) {
+				t.Fatalf("step %d: arena[%d] = %v, snapshot %v", step, i, got.arena[i], want.arena[i])
+			}
+		}
+	}
+	check(0)
+	for step := 1; step <= 2000; step++ {
+		c := r.Intn(len(levels))
+		states := cfg.State.States(levels[c])
+		tr := Transition{Cluster: c, State: r.Intn(states), Action: r.Intn(levels[c]),
+			NextState: r.Intn(states), Reward: r.Float64()*4 - 3}
+		switch r.Intn(6) {
+		case 0:
+			tr.Cluster = len(levels)
+		case 1:
+			tr.State = states
+		case 2:
+			tr.Reward = math.NaN()
+		}
+		u.Apply(tr)
+		if step%37 == 0 {
+			check(step)
+		}
+	}
+	check(-1)
+}
+
+// TestTDUpdaterApplyAllocFree pins the learner's per-sample cost: an
+// accepted TD step, mean-cell refresh included, allocates nothing.
+func TestTDUpdaterApplyAllocFree(t *testing.T) {
+	cfg := DefaultConfig()
+	u, err := NewTDUpdater(cfg, updaterSnapshot(cfg, 4, 6), 3, 0.5, 0.9)
+	if err != nil {
+		t.Fatalf("NewTDUpdater: %v", err)
+	}
+	tr := Transition{Cluster: 1, State: 2, Action: 3, NextState: 5, Reward: -0.5}
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := u.Apply(tr); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("Apply allocates %v times per call, want 0", n)
 	}
 }

@@ -368,3 +368,96 @@ func TestSessionDecideIntoAllocFree(t *testing.T) {
 		t.Fatalf("DecideInto allocates %v times per call, want 0", n)
 	}
 }
+
+// TestBinFrozenCohortPinnedAcrossSwaps is the binary-protocol twin of
+// TestLearnFrozenCohortPinned: a frozen-cohort device opened over the wire
+// must stay on the construction model while a learning device drives live
+// swaps, and must still be frozen after the server loses its session and
+// the client resumes it.
+func TestBinFrozenCohortPinnedAcrossSwaps(t *testing.T) {
+	m := testModel(t, 3, 5)
+	srv := newTestServer(t, m, nil, Config{Learn: LearnConfig{
+		Enabled: true, Manual: true, Seed: 3, SwapEvery: 1, Alpha: 0.5, Gamma: 0.9,
+	}})
+	c := NewBinClient(startBinServer(t, srv))
+	defer c.Close()
+	ctx := context.Background()
+
+	learnSess, err := c.OpenSession(ctx, SessionOptions{Seed: 1, Cohort: CohortLearning})
+	if err != nil {
+		t.Fatalf("OpenSession learning: %v", err)
+	}
+	fopts := SessionOptions{Seed: 2, Epsilon: 0.15, EpsilonDecay: 0.99, Cohort: CohortFrozen}
+	frozenSess, err := c.OpenSession(ctx, fopts)
+	if err != nil {
+		t.Fatalf("OpenSession frozen: %v", err)
+	}
+	want := newOracle(m, fopts)
+
+	const periods = 60
+	obs := testObs(m, 12, periods)
+	var frozenRewards uint64
+	for i := 0; i < periods; i++ {
+		// The learning device walks the frozen device's states and is
+		// punished for every choice, so the live policy moves exactly
+		// where the frozen device reads.
+		if _, err := learnSess.Decide(ctx, obs[i]); err != nil {
+			t.Fatalf("learning decide %d: %v", i, err)
+		}
+		if i >= 1 {
+			if _, err := learnSess.Reward(ctx, -2); err != nil {
+				t.Fatalf("learning reward %d: %v", i, err)
+			}
+		}
+		srv.LearnTick()
+		if i == periods/2 {
+			// The server forgets the frozen session; the next call resumes
+			// it from the client's mirror.
+			if _, err := srv.CloseSessionByHandle(frozenSess.Handle); err != nil {
+				t.Fatalf("dropping the frozen session: %v", err)
+			}
+		}
+		got, err := frozenSess.Decide(ctx, obs[i])
+		if err != nil {
+			t.Fatalf("frozen decide %d: %v", i, err)
+		}
+		if !equalInts(got, want.decide(obs[i])) {
+			t.Fatalf("frozen bin session diverged from the construction model at period %d", i)
+		}
+		if i >= 1 && i%10 == 0 {
+			if _, err := frozenSess.Reward(ctx, 1); err != nil {
+				t.Fatalf("frozen reward %d: %v", i, err)
+			}
+			frozenRewards++
+		}
+	}
+	if srv.PolicyVersion() == 0 {
+		t.Fatal("learner never published a swap; the frozen pin was not exercised")
+	}
+	if c.TransportStats().Resumes != 1 || srv.MetricsSnapshot().Resumes != 1 {
+		t.Fatalf("resumes client=%d server=%d, want 1/1", c.TransportStats().Resumes, srv.MetricsSnapshot().Resumes)
+	}
+	// Non-vacuity: the live policy really moved under the frozen stream.
+	snap, _ := srv.LearnSnapshot()
+	learned, err := NewModel(m.cfg, snap)
+	if err != nil {
+		t.Fatalf("NewModel(learned): %v", err)
+	}
+	construction, live := newOracle(m, fopts), newOracle(learned, fopts)
+	diverged := false
+	for _, o := range obs {
+		if !equalInts(construction.decide(o), live.decide(o)) {
+			diverged = true
+		}
+	}
+	if !diverged {
+		t.Fatal("learned policy agrees with the construction model on the frozen stream; the pin is vacuous")
+	}
+	// Frozen rewards, before and after the resume, reached only the frozen
+	// ledger.
+	met := srv.MetricsSnapshot().Learn
+	if met.RewardsFrozen != frozenRewards || met.RewardsLearning != periods-1 {
+		t.Fatalf("cohort ledgers frozen=%d learning=%d, want %d/%d",
+			met.RewardsFrozen, met.RewardsLearning, frozenRewards, periods-1)
+	}
+}

@@ -42,12 +42,7 @@ func (b *BinCaller) Create(ctx context.Context, c *BinClient, opts SessionOption
 	}
 	reqID := mc.reqID.Add(1)
 	b.wbuf = wire.FinishFrame(
-		wire.AppendCreateReq(wire.BeginFrame(b.wbuf), wire.CreateReq{
-			Epsilon:      opts.Epsilon,
-			EpsilonMin:   opts.EpsilonMin,
-			EpsilonDecay: opts.EpsilonDecay,
-			Seed:         opts.Seed,
-		}),
+		wire.AppendCreateReq(wire.BeginFrame(b.wbuf), opts.wireCreate()),
 		wire.TCreate, reqID)
 	return b.finishOpen(ctx, c, mc, reqID, wire.TCreateOK)
 }
@@ -60,12 +55,7 @@ func (b *BinCaller) Resume(ctx context.Context, c *BinClient, st ResumeState) (B
 	}
 	reqID := mc.reqID.Add(1)
 	rr := wire.ResumeReq{
-		Opts: wire.CreateReq{
-			Epsilon:      st.Options.Epsilon,
-			EpsilonMin:   st.Options.EpsilonMin,
-			EpsilonDecay: st.Options.EpsilonDecay,
-			Seed:         st.Options.Seed,
-		},
+		Opts:       st.Options.wireCreate(),
 		EpsNow:     st.Epsilon,
 		Seq:        st.Seq,
 		Decisions:  st.Decisions,

@@ -376,12 +376,7 @@ func (c *BinClient) OpenSession(ctx context.Context, opts SessionOptions) (*BinS
 		}
 		reqID := mc.reqID.Add(1)
 		s.wbuf = wire.FinishFrame(
-			wire.AppendCreateReq(wire.BeginFrame(s.wbuf), wire.CreateReq{
-				Epsilon:      opts.Epsilon,
-				EpsilonMin:   opts.EpsilonMin,
-				EpsilonDecay: opts.EpsilonDecay,
-				Seed:         opts.Seed,
-			}),
+			wire.AppendCreateReq(wire.BeginFrame(s.wbuf), opts.wireCreate()),
 			wire.TCreate, reqID)
 		call, _, err := c.call(ctx, mc, s.wbuf, reqID, wire.TCreateOK)
 		if err != nil {
@@ -466,12 +461,7 @@ func (s *BinSession) resume(ctx context.Context) error {
 	}
 	reqID := mc.reqID.Add(1)
 	rr := wire.ResumeReq{
-		Opts: wire.CreateReq{
-			Epsilon:      st.Options.Epsilon,
-			EpsilonMin:   st.Options.EpsilonMin,
-			EpsilonDecay: st.Options.EpsilonDecay,
-			Seed:         st.Options.Seed,
-		},
+		Opts:       st.Options.wireCreate(),
 		EpsNow:     st.Epsilon,
 		Seq:        st.Seq,
 		Decisions:  st.Decisions,

@@ -17,6 +17,7 @@ import (
 	"bufio"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"time"
@@ -185,6 +186,48 @@ func gracefulClose(conn net.Conn, br *bufio.Reader) {
 	io.Copy(io.Discard, io.LimitReader(br, 1<<20))
 }
 
+// wireCohorts numbers the cohorts for the binary protocol's create and
+// resume cohort byte: the index is the byte. 0 is the default arm, which
+// is also what a legacy cohort-less payload parses as.
+var wireCohorts = [...]string{"", CohortLearning, CohortFrozen}
+
+// wireCreate is o's binary-protocol form: the create payload, and the
+// options half of a resume. A cohort name the server would reject encodes
+// to a byte it rejects too.
+func (o SessionOptions) wireCreate() wire.CreateReq {
+	cohort := uint8(0xFF)
+	for i, name := range wireCohorts {
+		if o.Cohort == name {
+			cohort = uint8(i)
+		}
+	}
+	return wire.CreateReq{
+		Epsilon:      o.Epsilon,
+		EpsilonMin:   o.EpsilonMin,
+		EpsilonDecay: o.EpsilonDecay,
+		Seed:         o.Seed,
+		Cohort:       cohort,
+	}
+}
+
+// OptionsFromWire decodes a binary create (or a resume's options) into
+// SessionOptions — the inverse of what BinClient and BinCaller encode. An
+// unassigned cohort byte decodes to a cohort name validation rejects.
+func OptionsFromWire(r wire.CreateReq) SessionOptions {
+	o := SessionOptions{
+		Epsilon:      r.Epsilon,
+		EpsilonMin:   r.EpsilonMin,
+		EpsilonDecay: r.EpsilonDecay,
+		Seed:         r.Seed,
+	}
+	if int(r.Cohort) < len(wireCohorts) {
+		o.Cohort = wireCohorts[r.Cohort]
+	} else {
+		o.Cohort = fmt.Sprintf("wire cohort %d", r.Cohort)
+	}
+	return o
+}
+
 // handleBinFrame serves one request frame, appending exactly one response
 // frame to st.bw. It reports whether the connection should stay open.
 func (s *Server) handleBinFrame(st *binConnState, h wire.Header) bool {
@@ -196,12 +239,7 @@ func (s *Server) handleBinFrame(st *binConnState, h wire.Header) bool {
 		if err := wire.ParseCreateReq(st.payload, &st.creq); err != nil {
 			return s.binError(st, h.ReqID, err)
 		}
-		sess, err := s.CreateSession(SessionOptions{
-			Epsilon:      st.creq.Epsilon,
-			EpsilonMin:   st.creq.EpsilonMin,
-			EpsilonDecay: st.creq.EpsilonDecay,
-			Seed:         st.creq.Seed,
-		})
+		sess, err := s.CreateSession(OptionsFromWire(st.creq))
 		if err != nil {
 			return s.binError(st, h.ReqID, err)
 		}
@@ -213,12 +251,7 @@ func (s *Server) handleBinFrame(st *binConnState, h wire.Header) bool {
 			return s.binError(st, h.ReqID, err)
 		}
 		sess, err := s.ResumeSession(ResumeState{
-			Options: SessionOptions{
-				Epsilon:      st.rsreq.Opts.Epsilon,
-				EpsilonMin:   st.rsreq.Opts.EpsilonMin,
-				EpsilonDecay: st.rsreq.Opts.EpsilonDecay,
-				Seed:         st.rsreq.Opts.Seed,
-			},
+			Options:    OptionsFromWire(st.rsreq.Opts),
 			Epsilon:    st.rsreq.EpsNow,
 			Rng:        st.rsreq.Rng,
 			Seq:        st.rsreq.Seq,

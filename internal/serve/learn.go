@@ -12,10 +12,12 @@
 //     hot path;
 //   - every SwapEvery updates the shadow tables are frozen into a fresh
 //     immutable Model and published RCU-style: one atomic pointer store
-//     into the software backend plus a version bump. Decide readers load
-//     the pointer once per batch and never take a lock; the epoch-tagged
-//     FlatMemo stays valid because same-shape models share an arena
-//     length;
+//     into the software backend plus a version bump. Freezing is one
+//     arena copy: the updater keeps its greedy mean table current cell by
+//     cell (core.TDUpdater.Publish), and the Model's rows are views into
+//     the copy. Decide readers load the pointer once per batch and never
+//     take a lock; the epoch-tagged FlatMemo stays valid because
+//     same-shape models share an arena length;
 //   - the learned state is periodically published through the existing
 //     checkpoint store (and finally at drain), so restarts and new shards
 //     hydrate what was learned;
@@ -179,6 +181,12 @@ func (l *learner) run() {
 		defer t.Stop()
 		ckpt = t.C
 	}
+	// One idle timer for the consumer's lifetime: the ring runs dry
+	// thousands of times a second under load, and a time.After per poll
+	// would allocate a fresh timer each time.
+	idle := time.NewTimer(learnIdlePoll)
+	defer idle.Stop()
+	stopTimer(idle)
 	for {
 		n := l.apply(applyChunk)
 		select {
@@ -192,13 +200,15 @@ func (l *learner) run() {
 		default:
 		}
 		if n == 0 {
+			idle.Reset(learnIdlePoll)
 			select {
 			case <-l.quit:
 				l.tick()
 				return
 			case <-ckpt:
+				stopTimer(idle)
 				l.srv.publishCheckpoint(false)
-			case <-time.After(learnIdlePoll):
+			case <-idle.C:
 			}
 		}
 	}
@@ -258,15 +268,10 @@ func (l *learner) applyOneLocked(t core.Transition) {
 
 // publishLocked freezes the shadow tables into an immutable Model and
 // swaps it into the software backend — one atomic store, no reader locks.
+// The updater keeps its mean table current cell by cell, so freezing is
+// one arena copy; the model's rows are views into that copy.
 func (l *learner) publishLocked() {
-	m, err := NewModel(l.srv.model.cfg, l.upd.Snapshot())
-	if err != nil {
-		// Unreachable: the snapshot has the construction model's shape.
-		l.rejected.Add(1)
-		l.pending = 0
-		return
-	}
-	l.sw.SetModel(m)
+	l.sw.SetModel(l.srv.model.withArena(l.upd.Publish()))
 	l.pending = 0
 	l.swaps.Add(1)
 	l.version.Add(1)

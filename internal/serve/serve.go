@@ -93,7 +93,7 @@ var ErrBadRequest = errors.New("serve: bad request")
 type Model struct {
 	cfg    core.Config
 	levels []int         // per-cluster OPP counts
-	tables [][][]float64 // [cluster][state][action], deep-copied
+	tables [][][]float64 // [cluster][state][action]; deep-copied, or views into a learner-published arena
 	// flat is the contiguous row-major arena the serving read path prefers:
 	// one offset computation per lookup instead of a pointer chase, and
 	// batch lookups walk it in sorted order (see core.FlatTables). nil when
@@ -136,6 +136,33 @@ func NewModel(cfg core.Config, snap core.Snapshot) (*Model, error) {
 	}
 	m.flat = core.NewFlatTables(m.tables)
 	return m, nil
+}
+
+// withArena builds a same-shape sibling of m that serves ft, an arena
+// published by core.TDUpdater from m's tables: the sibling's tables are
+// row views into ft's arena, so the only copy a publication pays is the
+// one that produced ft. levels is shared (immutable), and ft becomes the
+// sibling's lookup arena exactly when m has one — same shape, same
+// packability, so the backend's memo keeps fitting.
+func (m *Model) withArena(ft *core.FlatTables) *Model {
+	n := &Model{cfg: m.cfg, levels: m.levels, tables: make([][][]float64, len(m.tables))}
+	rows := 0
+	for _, t := range m.tables {
+		rows += len(t)
+	}
+	views := make([][]float64, rows)
+	for c, t := range m.tables {
+		tbl := views[:len(t):len(t)]
+		views = views[len(t):]
+		for s := range tbl {
+			tbl[s] = ft.Row(c, s)
+		}
+		n.tables[c] = tbl
+	}
+	if m.flat != nil {
+		n.flat = ft
+	}
+	return n
 }
 
 // ModelFromPolicy freezes a trained software policy into a serving model.

@@ -166,12 +166,7 @@ func (r *Router) handleBinFrame(st *routerConnState, h wire.Header) bool {
 		if err := wire.ParseCreateReq(st.payload, &st.creq); err != nil {
 			return r.binFrontError(st, h.ReqID, err)
 		}
-		info, err := r.CreateSession(ctx, &st.caller, serve.SessionOptions{
-			Epsilon:      st.creq.Epsilon,
-			EpsilonMin:   st.creq.EpsilonMin,
-			EpsilonDecay: st.creq.EpsilonDecay,
-			Seed:         st.creq.Seed,
-		})
+		info, err := r.CreateSession(ctx, &st.caller, serve.OptionsFromWire(st.creq))
 		if err != nil {
 			return r.binFrontError(st, h.ReqID, err)
 		}
@@ -183,12 +178,7 @@ func (r *Router) handleBinFrame(st *routerConnState, h wire.Header) bool {
 			return r.binFrontError(st, h.ReqID, err)
 		}
 		info, err := r.ResumeSession(ctx, &st.caller, serve.ResumeState{
-			Options: serve.SessionOptions{
-				Epsilon:      st.rsreq.Opts.Epsilon,
-				EpsilonMin:   st.rsreq.Opts.EpsilonMin,
-				EpsilonDecay: st.rsreq.Opts.EpsilonDecay,
-				Seed:         st.rsreq.Opts.Seed,
-			},
+			Options:    serve.OptionsFromWire(st.rsreq.Opts),
 			Epsilon:    st.rsreq.EpsNow,
 			Rng:        st.rsreq.Rng,
 			Seq:        st.rsreq.Seq,

@@ -51,7 +51,13 @@ func testModel(t testing.TB, levels ...int) *serve.Model {
 // front, returning the front address.
 func testFleetRouter(t *testing.T, model *serve.Model, n int, ringSeed uint64) (*Fleet, *Router, string) {
 	t.Helper()
-	fleet, err := NewFleet(model, n, serve.Config{})
+	return testFleetRouterCfg(t, model, n, ringSeed, serve.Config{})
+}
+
+// testFleetRouterCfg is testFleetRouter with cfg applied to every shard.
+func testFleetRouterCfg(t *testing.T, model *serve.Model, n int, ringSeed uint64, cfg serve.Config) (*Fleet, *Router, string) {
+	t.Helper()
+	fleet, err := NewFleet(model, n, cfg)
 	if err != nil {
 		t.Fatalf("fleet: %v", err)
 	}
@@ -438,5 +444,169 @@ func TestRouterRejectsUnknownAndForeignEpochs(t *testing.T) {
 	}
 	if _, err := router.Decide(ctx, c, 1, router.Epoch()+1, 1, c.ObsToWire(testObs(model))); !errors.Is(err, serve.ErrUnknownSession) {
 		t.Fatalf("foreign epoch: %v", err)
+	}
+}
+
+// TestRouterForwardsFrozenCohort: the router carries the session cohort
+// to its shards on both fronts. A frozen device opened through the binary
+// front stays on the construction model while a learning device on the
+// same shard drives live swaps, and stays frozen when a shard removal
+// hands it to another shard by resume; a frozen device created through
+// the HTTP front lands in the frozen cohort too.
+func TestRouterForwardsFrozenCohort(t *testing.T) {
+	model := testModel(t, 6, 4)
+	fleet, router, addr := testFleetRouterCfg(t, model, 2, 5, serve.Config{Learn: serve.LearnConfig{
+		Enabled: true, Manual: true, Seed: 3, SwapEvery: 1, Alpha: 0.5, Gamma: 0.9,
+	}})
+	bc := serve.NewBinClient(addr)
+	defer bc.Close()
+	ctx := context.Background()
+
+	ring := NewRing(5, 0)
+	for _, sp := range router.Shards() {
+		ring.Add(sp.Name)
+	}
+	fseed := serve.DeviceSeed(2, 0)
+	owner, _ := ring.Owner(fseed)
+	var lseed uint64
+	for d := 1; lseed == 0; d++ { // a learning device on the frozen device's shard
+		if o, _ := ring.Owner(serve.DeviceSeed(2, d)); o == owner {
+			lseed = serve.DeviceSeed(2, d)
+		}
+	}
+	var other string
+	for _, sp := range fleet.Specs() {
+		if sp.Name != owner {
+			other = sp.Name
+		}
+	}
+	tickAll := func() {
+		for _, sp := range fleet.Specs() {
+			fleet.Server(sp.Name).LearnTick()
+		}
+	}
+
+	learnSess, err := bc.OpenSession(ctx, serve.SessionOptions{Seed: lseed})
+	if err != nil {
+		t.Fatalf("open learning: %v", err)
+	}
+	fopts := serve.SessionOptions{Seed: fseed, Epsilon: 0.15, EpsilonDecay: 0.99, Cohort: serve.CohortFrozen}
+	frozenSess, err := bc.OpenSession(ctx, fopts)
+	if err != nil {
+		t.Fatalf("open frozen: %v", err)
+	}
+
+	const periods, handoff = 40, 30
+	obs := make([][]serve.Observation, periods)
+	r := rng.New(17)
+	for i := range obs {
+		obs[i] = make([]serve.Observation, model.Clusters())
+		for c := range obs[i] {
+			obs[i][c] = serve.Observation{
+				Utilization: r.Float64(), DemandRatio: 1.5 * r.Float64(),
+				QoS: 1.2 * r.Float64(), ClusterQoS: 1.2 * r.Float64(),
+				Level: r.Intn(model.NumLevels()[c]),
+			}
+		}
+	}
+	var got []int
+	for i := 0; i < periods; i++ {
+		if _, err := learnSess.Decide(ctx, obs[i]); err != nil {
+			t.Fatalf("learning decide %d: %v", i, err)
+		}
+		if i >= 1 {
+			if _, err := learnSess.Reward(ctx, -2); err != nil {
+				t.Fatalf("learning reward %d: %v", i, err)
+			}
+		}
+		tickAll()
+		if i == handoff {
+			if fleet.Server(owner).PolicyVersion() == 0 {
+				t.Fatal("owner shard never swapped; the frozen pin was not exercised")
+			}
+			// Non-vacuity: a learning session with the frozen device's
+			// options, reading the owner's live policy, sees different
+			// decisions on the same stream.
+			probe, err := bc.OpenSession(ctx, serve.SessionOptions{Seed: fseed, Epsilon: 0.15, EpsilonDecay: 0.99})
+			if err != nil {
+				t.Fatalf("open probe: %v", err)
+			}
+			var live []int
+			for j := 0; j < i; j++ {
+				lv, err := probe.Decide(ctx, obs[j])
+				if err != nil {
+					t.Fatalf("probe decide %d: %v", j, err)
+				}
+				live = append(live, lv...)
+			}
+			if equalSeq(live, got) {
+				t.Fatal("owner's live policy agrees with the frozen stream; the pin is vacuous")
+			}
+			if _, err := frozenSess.Reward(ctx, 1); err != nil {
+				t.Fatalf("frozen reward before handoff: %v", err)
+			}
+			if err := router.RemoveShard(owner); err != nil {
+				t.Fatalf("remove %s: %v", owner, err)
+			}
+		}
+		lv, err := frozenSess.Decide(ctx, obs[i])
+		if err != nil {
+			t.Fatalf("frozen decide %d: %v", i, err)
+		}
+		got = append(got, lv...)
+	}
+	if bc.TransportStats().Resumes == 0 {
+		t.Fatal("shard removal did not hand the frozen session off by resume")
+	}
+	if _, err := frozenSess.Reward(ctx, 1); err != nil {
+		t.Fatalf("frozen reward after handoff: %v", err)
+	}
+
+	// Oracle: the same device on a plain server, never interrupted.
+	direct, err := serve.New(model, nil, serve.Config{})
+	if err != nil {
+		t.Fatalf("oracle: %v", err)
+	}
+	defer direct.Close()
+	osess, err := direct.CreateSession(fopts)
+	if err != nil {
+		t.Fatalf("oracle session: %v", err)
+	}
+	var want []int
+	for i := range obs {
+		lv, err := osess.Decide(obs[i])
+		if err != nil {
+			t.Fatalf("oracle decide %d: %v", i, err)
+		}
+		want = append(want, lv...)
+	}
+	if !equalSeq(got, want) {
+		t.Fatalf("routed frozen session left the construction model:\n got %v\nwant %v", got, want)
+	}
+
+	// Through the HTTP front as well: the JSON create's cohort rides the
+	// router's binary shard link.
+	front := httptest.NewServer(router.Handler())
+	defer front.Close()
+	hc := serve.NewClient(front.URL)
+	defer hc.CloseIdleConnections()
+	hs, err := hc.CreateSession(ctx, serve.SessionOptions{Seed: serve.DeviceSeed(4, 0), Cohort: serve.CohortFrozen})
+	if err != nil {
+		t.Fatalf("HTTP create: %v", err)
+	}
+	if _, err := hs.Decide(ctx, obs[0]); err != nil {
+		t.Fatalf("HTTP decide: %v", err)
+	}
+	if _, err := hs.Reward(ctx, 1); err != nil {
+		t.Fatalf("HTTP reward: %v", err)
+	}
+
+	if fr := fleet.Server(owner).MetricsSnapshot().Learn.RewardsFrozen; fr != 1 {
+		t.Errorf("owner shard frozen rewards = %d, want 1 (before the handoff)", fr)
+	}
+	// After the removal every session lives on the other shard: the
+	// resumed bin device and the HTTP device both report as frozen.
+	if fr := fleet.Server(other).MetricsSnapshot().Learn.RewardsFrozen; fr != 2 {
+		t.Errorf("other shard frozen rewards = %d, want 2 (resumed bin device + HTTP device)", fr)
 	}
 }

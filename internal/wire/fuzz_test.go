@@ -33,7 +33,14 @@ func reencode(t byte, p []byte) ([]byte, error) {
 		if err := ParseCreateReq(p, &v); err != nil {
 			return nil, err
 		}
-		return AppendCreateReq(nil, v), nil
+		out := AppendCreateReq(nil, v)
+		// The legacy 32-byte layout decodes with a zero cohort; its
+		// canonical re-encode is the cohort form truncated back to the
+		// bytes actually read.
+		if len(p) == createReqSizeLegacy {
+			out = out[:createReqSizeLegacy]
+		}
+		return out, nil
 	case TCreateOK, TResumeOK:
 		var v CreateOK
 		if err := ParseCreateOK(p, &v); err != nil {
@@ -51,7 +58,13 @@ func reencode(t byte, p []byte) ([]byte, error) {
 		if err := ParseResumeReq(p, &v); err != nil {
 			return nil, err
 		}
-		return AppendResumeReq(nil, &v), nil
+		out := AppendResumeReq(nil, &v)
+		// Same carve-out for a legacy-length resume: no trailing cohort
+		// byte was read, so none is compared.
+		if legacy := resumeReqBase + resumeClusterRec*len(v.PrevDemand); len(p) == legacy {
+			out = out[:legacy]
+		}
+		return out, nil
 	case TDecideOK:
 		var v DecideOK
 		if err := ParseDecideOK(p, &v); err != nil {
@@ -103,7 +116,8 @@ func FuzzWireDecode(f *testing.F) {
 	seed := func(t byte, payload []byte) {
 		f.Add(FinishFrame(append(BeginFrame(nil), payload...), t, 7))
 	}
-	seed(TCreate, AppendCreateReq(nil, CreateReq{Epsilon: 0.3, EpsilonDecay: 0.99, Seed: 11}))
+	seed(TCreate, AppendCreateReq(nil, CreateReq{Epsilon: 0.3, EpsilonDecay: 0.99, Seed: 11, Cohort: 2}))
+	seed(TCreate, AppendCreateReq(nil, CreateReq{Epsilon: 0.3, EpsilonDecay: 0.99, Seed: 11})[:32]) // legacy cohort-less layout
 	seed(TCreateOK, AppendCreateOK(nil, 5, 1, []int{3, 5}))
 	seed(TDecide, AppendDecideReq(nil, 5, 1, 9, []Obs{{Utilization: 0.8, Level: 2}, {Critical: true}}))
 	seed(TDecideOK, AppendDecideOK(nil, []int{1, 4}))
@@ -123,6 +137,13 @@ func FuzzWireDecode(f *testing.F) {
 		PrevDemand: []float64{0.5, 1.25},
 		LastLevels: []int{2, 0},
 	}))
+	legacyResume := AppendResumeReq(nil, &ResumeReq{
+		Opts:       CreateReq{Epsilon: 0.2, Seed: 4, Cohort: 2},
+		Seq:        3,
+		PrevDemand: []float64{0.75},
+		LastLevels: []int{1},
+	})
+	seed(TResume, legacyResume[:len(legacyResume)-1]) // legacy cohort-less length
 	seed(TResumeOK, AppendCreateOK(nil, 6, 2, []int{3, 5}))
 	// Multi-period decide: 2 periods × 2 clusters in one frame, plus the
 	// malformed-count shapes the parser must reject — count=0, count

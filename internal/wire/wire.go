@@ -31,6 +31,7 @@
 //	header    version u8 | type u8 | reserved u16 (=0) | req_id u32 |
 //	          payload_len u32 | crc32(bytes 0..11) u32
 //	create    epsilon f64 | epsilon_min f64 | epsilon_decay f64 | seed u64
+//	          [| cohort u8]
 //	createOK  handle u64 | epoch u32 | clusters u16 | num_levels u16 × clusters
 //	decide    handle u64 | epoch u32 | seq u64 | count u16 |
 //	          obs × count, each:
@@ -41,9 +42,10 @@
 //	rewardOK  decisions u64 | rewards u64 | mean_reward f64 | epsilon f64
 //	close     handle u64
 //	closeOK   same as rewardOK
-//	resume    create | eps_now f64 | seq u64 | decisions u64 | rewards u64 |
-//	          reward_sum f64 | rng u64 × 4 | clusters u16 |
-//	          (prev_demand f64 | last_level u16) × clusters
+//	resume    create (without cohort) | eps_now f64 | seq u64 |
+//	          decisions u64 | rewards u64 | reward_sum f64 | rng u64 × 4 |
+//	          clusters u16 | (prev_demand f64 | last_level u16) × clusters
+//	          [| cohort u8]
 //	resumeOK  same as createOK
 //	error     code u16 | backoff_ms u32 | message bytes
 //
@@ -56,6 +58,11 @@
 // divergent decision. The resume frame re-creates a session from the
 // client's last acked state after the server lost it (restart or TTL
 // reaping).
+//
+// The create and resume cohort byte is a trailing optional field, added
+// the way the reward epoch/seq tail was: a payload without it (the legacy
+// 32-byte create, the legacy resume length) still parses, as cohort 0 —
+// the server's default A/B arm.
 //
 // The decide count is K×clusters for a multi-period frame: one frame may
 // carry K consecutive control periods' observations, period by period
@@ -272,34 +279,59 @@ type Obs struct {
 
 const obsSize = 4*8 + 1 + 2
 
-// CreateReq asks the server to open a device session.
+// CreateReq asks the server to open a device session. Cohort is the
+// session's A/B arm on a learning server, numbered by the serve layer; 0
+// is the default arm.
 type CreateReq struct {
 	Epsilon      float64
 	EpsilonMin   float64
 	EpsilonDecay float64
 	Seed         uint64
+	Cohort       uint8
 }
 
-const createReqSize = 4 * 8
+const (
+	createReqSizeLegacy = 4 * 8
+	createReqSize       = createReqSizeLegacy + 1
+)
 
-// AppendCreateReq appends r's payload encoding to dst.
+// AppendCreateReq appends r's payload encoding to dst (the 33-byte form
+// with the cohort byte).
 func AppendCreateReq(dst []byte, r CreateReq) []byte {
+	return append(appendCreateBase(dst, r), r.Cohort)
+}
+
+// appendCreateBase appends the legacy 32-byte create fields, the form a
+// resume payload embeds.
+func appendCreateBase(dst []byte, r CreateReq) []byte {
 	dst = appendF64(dst, r.Epsilon)
 	dst = appendF64(dst, r.EpsilonMin)
 	dst = appendF64(dst, r.EpsilonDecay)
 	return binary.LittleEndian.AppendUint64(dst, r.Seed)
 }
 
-// ParseCreateReq decodes p into r.
+// ParseCreateReq decodes p into r. Both the 33-byte layout and the legacy
+// 32-byte layout (Cohort 0) are accepted.
 func ParseCreateReq(p []byte, r *CreateReq) error {
-	if err := exactLen(p, createReqSize); err != nil {
-		return err
+	switch len(p) {
+	case createReqSizeLegacy:
+		r.Cohort = 0
+	case createReqSize:
+		r.Cohort = p[createReqSizeLegacy]
+	default:
+		return exactLen(p, createReqSize)
 	}
+	parseCreateBase(p, r)
+	return nil
+}
+
+// parseCreateBase decodes the legacy 32-byte create fields from p, which
+// must hold at least that many bytes.
+func parseCreateBase(p []byte, r *CreateReq) {
 	r.Epsilon = getF64(p[0:])
 	r.EpsilonMin = getF64(p[8:])
 	r.EpsilonDecay = getF64(p[16:])
 	r.Seed = binary.LittleEndian.Uint64(p[24:])
-	return nil
 }
 
 // CreateOK answers a create (and a resume): the session handle, the
@@ -592,7 +624,7 @@ func ParseError(p []byte, e *ErrorFrame) error {
 // Opts.Seed"); Seq/Decisions/Rewards/RewardSum restore the ledger;
 // PrevDemand is the per-cluster demand-trend history; LastLevels is the
 // decision the client last acked (the replay cache for Seq), meaningful
-// only when Seq > 0.
+// only when Seq > 0. Opts.Cohort rides in the payload's trailing byte.
 type ResumeReq struct {
 	Opts       CreateReq
 	EpsNow     float64
@@ -606,14 +638,14 @@ type ResumeReq struct {
 }
 
 const (
-	resumeReqBase    = createReqSize + 8 + 8 + 8 + 8 + 8 + 4*8 + 2
+	resumeReqBase    = createReqSizeLegacy + 8 + 8 + 8 + 8 + 8 + 4*8 + 2
 	resumeClusterRec = 8 + 2
 )
 
 // AppendResumeReq appends the payload encoding to dst. PrevDemand and
 // LastLevels must have equal length (the cluster count).
 func AppendResumeReq(dst []byte, r *ResumeReq) []byte {
-	dst = AppendCreateReq(dst, r.Opts)
+	dst = appendCreateBase(dst, r.Opts)
 	dst = appendF64(dst, r.EpsNow)
 	dst = binary.LittleEndian.AppendUint64(dst, r.Seq)
 	dst = binary.LittleEndian.AppendUint64(dst, r.Decisions)
@@ -631,18 +663,18 @@ func AppendResumeReq(dst []byte, r *ResumeReq) []byte {
 		}
 		dst = binary.LittleEndian.AppendUint16(dst, uint16(lvl))
 	}
-	return dst
+	return append(dst, r.Opts.Cohort)
 }
 
 // ParseResumeReq decodes p into r, reusing the slices' backing arrays.
+// Both the layout with the trailing cohort byte and the legacy one without
+// it (Opts.Cohort 0) are accepted.
 func ParseResumeReq(p []byte, r *ResumeReq) error {
 	if len(p) < resumeReqBase {
 		return fmt.Errorf("%w: resume needs %d bytes, got %d", ErrTruncated, resumeReqBase, len(p))
 	}
-	if err := ParseCreateReq(p[:createReqSize], &r.Opts); err != nil {
-		return err
-	}
-	off := createReqSize
+	parseCreateBase(p, &r.Opts)
+	off := createReqSizeLegacy
 	r.EpsNow = getF64(p[off:])
 	r.Seq = binary.LittleEndian.Uint64(p[off+8:])
 	r.Decisions = binary.LittleEndian.Uint64(p[off+16:])
@@ -652,8 +684,13 @@ func ParseResumeReq(p []byte, r *ResumeReq) error {
 		r.Rng[i] = binary.LittleEndian.Uint64(p[off+40+8*i:])
 	}
 	n := int(binary.LittleEndian.Uint16(p[resumeReqBase-2:]))
-	if err := exactLen(p, resumeReqBase+resumeClusterRec*n); err != nil {
-		return err
+	switch legacy := resumeReqBase + resumeClusterRec*n; len(p) {
+	case legacy:
+		r.Opts.Cohort = 0
+	case legacy + 1:
+		r.Opts.Cohort = p[legacy]
+	default:
+		return exactLen(p, legacy+1)
 	}
 	r.PrevDemand = fitF64s(r.PrevDemand, n)
 	r.LastLevels = fitInts(r.LastLevels, n)

@@ -102,7 +102,7 @@ func TestPayloadRoundTrips(t *testing.T) {
 	r := rng.New(99)
 	var buf []byte
 	for iter := 0; iter < 200; iter++ {
-		creq := CreateReq{Epsilon: r.Float64(), EpsilonMin: r.Float64() / 4, EpsilonDecay: r.Float64(), Seed: r.Uint64()}
+		creq := CreateReq{Epsilon: r.Float64(), EpsilonMin: r.Float64() / 4, EpsilonDecay: r.Float64(), Seed: r.Uint64(), Cohort: uint8(iter)}
 		buf = AppendCreateReq(buf[:0], creq)
 		var creq2 CreateReq
 		if err := ParseCreateReq(buf, &creq2); err != nil {
@@ -236,7 +236,9 @@ func TestPayloadRoundTrips(t *testing.T) {
 func TestParseTypedErrors(t *testing.T) {
 	// Truncations of every fixed layout.
 	var creq CreateReq
-	if err := ParseCreateReq(make([]byte, createReqSize-1), &creq); !errors.Is(err, ErrTruncated) {
+	// createReqSize-1 is the legacy 32-byte layout, which parses; one byte
+	// shorter than that is a truncation.
+	if err := ParseCreateReq(make([]byte, createReqSizeLegacy-1), &creq); !errors.Is(err, ErrTruncated) {
 		t.Errorf("short create: %v", err)
 	}
 	if err := ParseCreateReq(make([]byte, createReqSize+1), &creq); !errors.Is(err, ErrBadPayload) {
@@ -367,5 +369,79 @@ func TestRewardReqLegacyLayout(t *testing.T) {
 	}
 	if err := ParseRewardReq(append(tagged, 0), &legacy); err == nil {
 		t.Fatal("29-byte payload accepted")
+	}
+}
+
+// TestCreateReqCohortLayout pins the dual-size create payload contract:
+// the cohort-carrying form is exactly 33 bytes with the cohort last, the
+// legacy 32-byte layout still parses (Cohort 0), and any other size is
+// rejected.
+func TestCreateReqCohortLayout(t *testing.T) {
+	want := CreateReq{Epsilon: 0.25, EpsilonMin: 0.01, EpsilonDecay: 0.99, Seed: 0xfeed, Cohort: 2}
+	p := AppendCreateReq(nil, want)
+	if len(p) != 33 || p[32] != 2 {
+		t.Fatalf("create payload is %d bytes ending %d, want 33 ending in the cohort 2", len(p), p[len(p)-1])
+	}
+	var got CreateReq
+	if err := ParseCreateReq(p, &got); err != nil || got != want {
+		t.Fatalf("33-byte parse = %+v, %v; want %+v", got, err, want)
+	}
+
+	got.Cohort = 9 // a stale value must not survive a legacy parse
+	if err := ParseCreateReq(p[:32], &got); err != nil {
+		t.Fatalf("legacy 32-byte parse: %v", err)
+	}
+	legacy := want
+	legacy.Cohort = 0
+	if got != legacy {
+		t.Fatalf("legacy parse = %+v, want %+v", got, legacy)
+	}
+
+	for _, n := range []int{0, 8, 31} {
+		if err := ParseCreateReq(p[:n], &got); !errors.Is(err, ErrTruncated) {
+			t.Fatalf("%d-byte create: %v, want ErrTruncated", n, err)
+		}
+	}
+	if err := ParseCreateReq(append(p, 0), &got); !errors.Is(err, ErrBadPayload) {
+		t.Fatalf("34-byte create: %v, want ErrBadPayload", err)
+	}
+}
+
+// TestResumeReqCohortLayout pins the resume twin of the create contract:
+// the cohort rides one trailing byte after the per-cluster records, and a
+// payload of the legacy length parses as Cohort 0.
+func TestResumeReqCohortLayout(t *testing.T) {
+	want := ResumeReq{
+		Opts:       CreateReq{Epsilon: 0.2, EpsilonDecay: 0.98, Seed: 4, Cohort: 2},
+		EpsNow:     0.1,
+		Seq:        12,
+		PrevDemand: []float64{0.5, 1.25},
+		LastLevels: []int{2, 0},
+	}
+	p := AppendResumeReq(nil, &want)
+	legacyLen := resumeReqBase + 2*resumeClusterRec
+	if len(p) != legacyLen+1 || p[legacyLen] != 2 {
+		t.Fatalf("resume payload is %d bytes ending %d, want %d ending in the cohort 2", len(p), p[len(p)-1], legacyLen+1)
+	}
+	var got ResumeReq
+	if err := ParseResumeReq(p, &got); err != nil || got.Opts != want.Opts {
+		t.Fatalf("resume parse opts = %+v, %v; want %+v", got.Opts, err, want.Opts)
+	}
+
+	got.Opts.Cohort = 9
+	if err := ParseResumeReq(p[:legacyLen], &got); err != nil {
+		t.Fatalf("legacy-length resume parse: %v", err)
+	}
+	legacy := want.Opts
+	legacy.Cohort = 0
+	if got.Opts != legacy || got.Seq != want.Seq || len(got.LastLevels) != 2 || got.LastLevels[0] != 2 {
+		t.Fatalf("legacy resume parse = %+v, want opts %+v and the original ledger", got, legacy)
+	}
+
+	if err := ParseResumeReq(p[:legacyLen-1], &got); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("short resume: %v, want ErrTruncated", err)
+	}
+	if err := ParseResumeReq(append(p, 0), &got); !errors.Is(err, ErrBadPayload) {
+		t.Fatalf("resume with two trailing bytes: %v, want ErrBadPayload", err)
 	}
 }
