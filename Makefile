@@ -37,6 +37,7 @@ fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzCheckpointDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzWireDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/shard -run '^$$' -fuzz FuzzRingRoute -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzBinStream -fuzztime $(FUZZTIME)
 
 # cover enforces the coverage floor (measured at 84.8% when the gate was
 # introduced; the floor leaves headroom for timing-dependent paths).
@@ -109,7 +110,8 @@ learn-smoke:
 # shard-smoke is the sharded end-to-end binary check: two pmserve shards,
 # a pmrouter fronting them on HTTP + binary, pmload driving the fleet
 # through the router on both transports, then a scrape of the router's
-# merged /metrics requiring a nonzero decide count on EVERY shard.
+# merged /metrics requiring a nonzero decide count on EVERY shard and
+# forwarded decide windows, and one fetch of the router's -pprof index.
 shard-smoke:
 	$(GO) build -o /tmp/pmserve ./cmd/pmserve
 	$(GO) build -o /tmp/pmrouter ./cmd/pmrouter
@@ -118,7 +120,7 @@ shard-smoke:
 	S0=$$!; \
 	/tmp/pmserve -addr 127.0.0.1:7443 -listen-bin 127.0.0.1:7444 -quick -epoch 2 & \
 	S1=$$!; \
-	/tmp/pmrouter -addr 127.0.0.1:7440 -listen-bin 127.0.0.1:7439 -ring-seed 1 -wait-shards 60s \
+	/tmp/pmrouter -addr 127.0.0.1:7440 -listen-bin 127.0.0.1:7439 -ring-seed 1 -wait-shards 60s -pprof 127.0.0.1:7438 \
 		-shard s0=127.0.0.1:7442@127.0.0.1:7441 -shard s1=127.0.0.1:7444@127.0.0.1:7443 & \
 	R=$$!; \
 	stop='kill $$R $$S0 $$S1 2>/dev/null'; \
@@ -128,6 +130,8 @@ shard-smoke:
 	grep -E 'router_shard_decisions_total\{shard="s0"\} [1-9]' /tmp/router_metrics.prom >/dev/null || { eval $$stop; exit 1; }; \
 	grep -E 'router_shard_decisions_total\{shard="s1"\} [1-9]' /tmp/router_metrics.prom >/dev/null || { eval $$stop; exit 1; }; \
 	grep -E '^serve_decisions_total [1-9]' /tmp/router_metrics.prom >/dev/null || { eval $$stop; exit 1; }; \
+	grep -E '^router_decide_windows_total [1-9]' /tmp/router_metrics.prom >/dev/null || { eval $$stop; exit 1; }; \
+	curl -fsS -o /dev/null http://127.0.0.1:7438/debug/pprof/ || { eval $$stop; exit 1; }; \
 	kill -TERM $$R; wait $$R; \
 	kill -TERM $$S0 $$S1; wait $$S0 $$S1
 

@@ -22,6 +22,9 @@
 // load generators) shares -ring-seed and -vnodes; GET /v1/ring publishes
 // the ring so peers can verify.
 //
+// -pprof ADDR serves net/http/pprof on a separate listener, for profiling
+// the forwarding path under load.
+//
 // SIGINT/SIGTERM stop the fronts, wait for in-flight forwards, and exit 0.
 package main
 
@@ -32,6 +35,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	_ "net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -76,6 +80,7 @@ func main() {
 		vnodes      = flag.Int("vnodes", 0, "virtual nodes per shard (0 = default)")
 		callTimeout = flag.Duration("call-timeout", 5*time.Second, "per-forward deadline to a shard")
 		waitShards  = flag.Duration("wait-shards", 0, "wait up to this long for every shard's /healthz before serving (0 = don't)")
+		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6061); empty disables")
 	)
 	flag.Var(&shards, "shard", "shard as name=BINADDR[@HTTPADDR]; repeatable")
 	flag.Parse()
@@ -102,6 +107,16 @@ func main() {
 		os.Exit(1)
 	}
 	defer router.Close()
+
+	if *pprofAddr != "" {
+		pln, err := net.Listen("tcp", *pprofAddr)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "pmrouter:", err)
+			os.Exit(1)
+		}
+		fmt.Fprintf(os.Stderr, "pmrouter: pprof at %s/debug/pprof/\n", pln.Addr())
+		go http.Serve(pln, nil) // net/http/pprof registers on the default mux
+	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

@@ -13,6 +13,7 @@ package serve
 
 import (
 	"context"
+	"slices"
 
 	"rlpm/internal/wire"
 )
@@ -25,13 +26,14 @@ type BinSessionInfo struct {
 }
 
 // BinCaller holds the encode/decode scratch for single-attempt calls. Not
-// goroutine-safe — callers pool them (one per in-flight forward).
+// goroutine-safe — callers pool them (one per forwarding goroutine).
 type BinCaller struct {
 	wbuf      []byte
 	dok       wire.DecideOK
 	levels    []int
 	numLevels []int
 	wireObs   []wire.Obs
+	unflushed []*muxConn // connections holding started, unflushed decides
 }
 
 // Create opens a session on c with no client-side mirror. One attempt.
@@ -106,28 +108,64 @@ func (b *BinCaller) ObsToWire(obs []Observation) []wire.Obs {
 	return wobs
 }
 
-// DecideSeq forwards one decide frame (possibly multi-period) under the
-// shard-side handle/epoch/seq. The returned slice is scratch, valid until
-// the caller's next DecideSeq.
-func (b *BinCaller) DecideSeq(ctx context.Context, c *BinClient, handle uint64, epoch uint32, seq uint64, wobs []wire.Obs) ([]int, error) {
+// PendingDecide is a decide forward in flight: started by StartDecide,
+// answered by exactly one FinishDecide.
+type PendingDecide struct {
+	c     *BinClient
+	mc    *muxConn
+	call  *muxCall
+	reqID uint32
+}
+
+// StartDecide encodes a decide frame (possibly multi-period) under the
+// shard-side handle/epoch/seq and queues it on c's connection without
+// flushing, so several forwards — to one shard or many — can be in flight
+// at once: Flush sends everything queued, one syscall per connection, and
+// FinishDecide collects each answer. A lone decide is start, flush,
+// finish. On error nothing is pending.
+func (b *BinCaller) StartDecide(c *BinClient, handle uint64, epoch uint32, seq uint64, wobs []wire.Obs) (PendingDecide, error) {
 	mc, err := c.conn()
 	if err != nil {
-		return nil, err
+		return PendingDecide{}, err
 	}
 	reqID := mc.reqID.Add(1)
 	b.wbuf = wire.FinishFrame(
 		wire.AppendDecideReq(wire.BeginFrame(b.wbuf), handle, epoch, seq, wobs),
 		wire.TDecide, reqID)
-	call, _, err := c.call(ctx, mc, b.wbuf, reqID, wire.TDecideOK)
+	call, err := c.send(mc, b.wbuf, reqID, false)
 	if err != nil {
+		return PendingDecide{}, err
+	}
+	if !slices.Contains(b.unflushed, mc) {
+		b.unflushed = append(b.unflushed, mc)
+	}
+	return PendingDecide{c: c, mc: mc, call: call, reqID: reqID}, nil
+}
+
+// Flush sends the frames StartDecide queued, flushing each connection
+// once. A failed flush poisons its connection, which fails the pending
+// forwards on it: their FinishDecide reports the error.
+func (b *BinCaller) Flush() {
+	for i, mc := range b.unflushed {
+		_ = mc.write(nil, true) // a failure is reported by FinishDecide
+		b.unflushed[i] = nil
+	}
+	b.unflushed = b.unflushed[:0]
+}
+
+// FinishDecide waits for a started decide's answer, bounded by the
+// client's per-call timeout and ctx. The returned slice is scratch, valid
+// until the caller's next FinishDecide.
+func (b *BinCaller) FinishDecide(ctx context.Context, p PendingDecide) ([]int, error) {
+	if _, err := p.c.await(ctx, p.mc, p.call, p.reqID, wire.TDecideOK); err != nil {
 		return nil, err
 	}
-	if err := wire.ParseDecideOK(call.buf, &b.dok); err != nil {
-		putMuxCall(call)
+	if err := wire.ParseDecideOK(p.call.buf, &b.dok); err != nil {
+		putMuxCall(p.call)
 		return nil, err
 	}
 	b.levels = append(b.levels[:0], b.dok.Levels...)
-	putMuxCall(call)
+	putMuxCall(p.call)
 	return b.levels, nil
 }
 

@@ -218,10 +218,29 @@ func (mc *muxConn) readLoop() {
 	}
 }
 
-// call writes the frame in wbuf (its request id must be reqID) and waits
-// for the matching response. On success the payload sits in the returned
-// muxCall's buf; the caller must release it with putMuxCall after decoding.
+// call writes the frame in wbuf (its request id must be reqID), flushes,
+// and waits for the matching response: send, then await. On success the
+// payload sits in the returned muxCall's buf; the caller must release it
+// with putMuxCall after decoding.
 func (c *BinClient) call(ctx context.Context, mc *muxConn, wbuf []byte, reqID uint32, wantType byte) (*muxCall, wire.Header, error) {
+	call, err := c.send(mc, wbuf, reqID, true)
+	if err != nil {
+		return nil, wire.Header{}, err
+	}
+	h, err := c.await(ctx, mc, call, reqID, wantType)
+	if err != nil {
+		return nil, h, err
+	}
+	return call, h, nil
+}
+
+// send registers reqID as pending on mc and writes the frame in wbuf (its
+// request id must be reqID) into the connection's buffer. With flush set
+// the buffer goes out now unless another writer is queued to send it;
+// without, the frame waits for a later flush (mc.write(nil, true)), so a
+// window of forwards leaves in one syscall. The returned call must be
+// passed to await exactly once.
+func (c *BinClient) send(mc *muxConn, wbuf []byte, reqID uint32, flush bool) (*muxCall, error) {
 	call := muxCallPool.Get().(*muxCall)
 
 	mc.pmu.Lock()
@@ -229,42 +248,57 @@ func (c *BinClient) call(ctx context.Context, mc *muxConn, wbuf []byte, reqID ui
 		err := mc.err
 		mc.pmu.Unlock()
 		muxCallPool.Put(call)
-		return nil, wire.Header{}, err
+		return nil, err
 	}
 	mc.pending[reqID] = call
 	mc.pmu.Unlock()
 
-	// Last writer out flushes: while another writer is queued behind the
-	// lock the buffered bytes ride its (or a later) flush, so back-to-back
-	// requests from many sessions coalesce into one syscall.
+	if err := mc.write(wbuf, flush); err != nil {
+		return nil, c.reap(mc, call, reqID, err)
+	}
+	return call, nil
+}
+
+// write appends wbuf to the connection's buffer and, with flush set,
+// flushes it. Last writer out flushes: while another writer is queued
+// behind the lock the buffered bytes ride its (or a later) flush, so
+// back-to-back requests from many sessions coalesce into one syscall. A
+// failed write poisons the connection.
+func (mc *muxConn) write(wbuf []byte, flush bool) error {
 	mc.wwait.Add(1)
 	mc.wmu.Lock()
 	mc.wwait.Add(-1)
 	_, err := mc.bw.Write(wbuf)
-	if err == nil && mc.wwait.Load() == 0 {
+	if err == nil && flush && mc.wwait.Load() == 0 {
 		err = mc.bw.Flush()
 	}
 	mc.wmu.Unlock()
 	if err != nil {
 		err = fmt.Errorf("%w: write: %v", ErrConnLost, err)
 		mc.fail(err)
-		return nil, wire.Header{}, c.reap(mc, call, reqID, err)
 	}
+	return err
+}
 
+// await waits for the response to a sent call: the per-call timer bounds
+// it, as does ctx. On success the payload sits in call.buf and the caller
+// must release the call with putMuxCall after decoding; on failure the
+// call is already released.
+func (c *BinClient) await(ctx context.Context, mc *muxConn, call *muxCall, reqID uint32, wantType byte) (wire.Header, error) {
 	call.timer.Reset(c.timeout)
 	var r muxResp
 	select {
 	case r = <-call.ch:
 		stopTimer(call.timer)
 	case <-call.timer.C:
-		return nil, wire.Header{}, c.reap(mc, call, reqID, fmt.Errorf("%w: no response after %v", ErrCallTimeout, c.timeout))
+		return wire.Header{}, c.reap(mc, call, reqID, fmt.Errorf("%w: no response after %v", ErrCallTimeout, c.timeout))
 	case <-ctx.Done():
 		stopTimer(call.timer)
-		return nil, wire.Header{}, c.reap(mc, call, reqID, ctx.Err())
+		return wire.Header{}, c.reap(mc, call, reqID, ctx.Err())
 	}
 	if r.err != nil {
 		muxCallPool.Put(call)
-		return nil, wire.Header{}, r.err
+		return wire.Header{}, r.err
 	}
 	h := r.hdr
 	if h.Type == wire.TError {
@@ -274,13 +308,13 @@ func (c *BinClient) call(ctx context.Context, mc *muxConn, wbuf []byte, reqID ui
 			err = binCodeErr(ef.Code, ef.BackoffMs, string(ef.Msg))
 		}
 		putMuxCall(call)
-		return nil, h, err
+		return h, err
 	}
 	if h.Type != wantType {
 		putMuxCall(call)
-		return nil, h, fmt.Errorf("serve: response type %d, want %d", h.Type, wantType)
+		return h, fmt.Errorf("serve: response type %d, want %d", h.Type, wantType)
 	}
-	return call, h, nil
+	return h, nil
 }
 
 // reap abandons a call that will get no usable response: its pending entry

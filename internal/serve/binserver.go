@@ -15,7 +15,6 @@ package serve
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -349,10 +348,11 @@ func (s *Server) handleBinDecide(st *binConnState, h wire.Header) bool {
 	return true
 }
 
-// maxWindowFrames bounds the decide frames one window gathers: enough to
-// fill a healthy batch under pipelining, small enough that one slow frame
-// never delays a connection's responses unboundedly.
-const maxWindowFrames = 64
+// MaxWindowFrames bounds the decide frames one window gathers, on a shard
+// connection and on the router's binary front alike: enough to fill a
+// healthy batch under pipelining, small enough that one slow frame never
+// delays a connection's responses unboundedly.
+const MaxWindowFrames = 64
 
 // binTxn is one decide frame of a connection window: its identity, its
 // slice of the combined lookup batch, and how it resolved.
@@ -373,13 +373,14 @@ type binTxn struct {
 // writev-style net.Buffers flush.
 type binWindow struct {
 	txns       []binTxn
-	wbufs      [][]byte // response frame per txn, index-aligned, reused
-	frameLvls  [][]int  // levels scratch per txn, index-aligned, reused
-	lookups    []Lookup // combined exploit lookups of all open txns
-	out        []int    // combined batch results
-	bufs       net.Buffers
-	obsTotal   int  // observations admitted, for the batch budget
-	closeAfter bool // a frame poisoned the stream: answer, then hang up
+	wbufs      [][]byte    // response frame per txn, index-aligned, reused
+	frameLvls  [][]int     // levels scratch per txn, index-aligned, reused
+	lookups    []Lookup    // combined exploit lookups of all open txns
+	out        []int       // combined batch results
+	vec        [][]byte    // copy of wbufs for the vectored write, kept
+	bufs       net.Buffers // header over vec that WriteTo consumes
+	obsTotal   int         // observations admitted, for the batch budget
+	closeAfter bool        // a frame poisoned the stream: answer, then hang up
 }
 
 func (w *binWindow) reset() {
@@ -435,7 +436,10 @@ func (s *Server) serveBinDecideWindow(st *binConnState, h wire.Header) bool {
 	// responses anyway — and served by the plain blocking path after.
 	var heldH wire.Header
 	held := false
-	for !w.closeAfter && len(w.txns) < maxWindowFrames && st.peekGatherable(s.cfg.MaxBatch, w.obsTotal) {
+	for !w.closeAfter && len(w.txns) < MaxWindowFrames {
+		if n, ok := wire.BufferedDecide(st.br); !ok || w.obsTotal+n > s.cfg.MaxBatch {
+			break
+		}
 		gh, payload, err := wire.ReadFrame(st.br, &st.hdr, st.payload)
 		st.payload = payload
 		s.binFrames.Add(1)
@@ -473,6 +477,7 @@ func (s *Server) serveBinDecideWindow(st *binConnState, h wire.Header) bool {
 		if batchErr != nil {
 			tx.sess.decideAbortLocked()
 			tx.sess.mu.Unlock()
+			tx.sess = nil
 			s.binErrors.Add(1)
 			var backoffMs uint32
 			if errors.Is(batchErr, ErrOverloaded) {
@@ -489,38 +494,52 @@ func (s *Server) serveBinDecideWindow(st *binConnState, h wire.Header) bool {
 		}
 		tx.sess.decideFinishLocked(tx.levels)
 		tx.sess.mu.Unlock()
-		w.wbufs[i] = wire.FinishFrame(
-			wire.AppendDecideOK(wire.BeginFrame(w.wbufs[i]), tx.levels),
-			wire.TDecideOK, tx.reqID)
 		tx.ok = true
 	}
 
-	// Vectored flush: every response of the window in one writev-style
-	// call, in frame order. Anything older already buffered in bw goes
-	// first so the stream stays ordered.
-	if err := st.bw.Flush(); err != nil {
-		return false
-	}
-	w.bufs = w.bufs[:0]
+	// Encode the fresh answers. The clocks stop here, where the single
+	// frame path stops them — after encoding, before the socket write —
+	// and the encode span is the window's bin_write, shared by the frames
+	// it answered.
+	encodeStart := time.Now()
+	answered := 0
 	for i := range w.txns {
-		w.bufs = append(w.bufs, w.wbufs[i])
-	}
-	wstart := time.Now()
-	if _, err := w.bufs.WriteTo(st.conn); err != nil {
-		return false
+		tx := &w.txns[i]
+		if !tx.ok {
+			continue
+		}
+		answered++
+		if tx.sess != nil { // replays were encoded at begin
+			w.wbufs[i] = wire.FinishFrame(
+				wire.AppendDecideOK(wire.BeginFrame(w.wbufs[i]), tx.levels),
+				wire.TDecideOK, tx.reqID)
+		}
 	}
 	now := time.Now()
-	span := now.Sub(wstart).Nanoseconds()
 	keep := !w.closeAfter
 	for i := range w.txns {
 		tx := &w.txns[i]
 		if tx.ok {
-			s.histBinWrite.Observe(span)
+			s.histBinWrite.Observe(now.Sub(encodeStart).Nanoseconds() / int64(answered))
 			s.histBin.Observe(now.Sub(tx.t0).Nanoseconds())
 		}
 		if !tx.keep {
 			keep = false
 		}
+	}
+
+	// Vectored flush: every response of the window in one writev-style
+	// call, in frame order. Anything older already buffered in bw goes
+	// first so the stream stays ordered. WriteTo consumes the slice it is
+	// handed — advances it and nils its entries — so it gets a header over
+	// a kept copy of the buffer list, never wbufs itself.
+	if err := st.bw.Flush(); err != nil {
+		return false
+	}
+	w.vec = append(w.vec[:0], w.wbufs[:len(w.txns)]...)
+	w.bufs = w.vec
+	if _, err := w.bufs.WriteTo(st.conn); err != nil {
+		return false
 	}
 	if !keep {
 		return false
@@ -617,43 +636,6 @@ func (s *Server) beginBinTxn(st *binConnState, h wire.Header, first bool) txnSta
 	w.obsTotal += n
 	w.txns = append(w.txns, tx)
 	return txnOpen
-}
-
-// peekGatherable reports whether the connection's next buffered frame is a
-// complete decide frame whose observation count fits the window's batch
-// budget — without consuming a byte or ever blocking. An incomplete frame,
-// a different type, or a count that would overflow the budget closes the
-// gather; the frame stays buffered for the main loop or the next window.
-func (st *binConnState) peekGatherable(maxBatch, obsTotal int) bool {
-	if st.br.Buffered() < wire.HeaderSize {
-		return false
-	}
-	hdr, err := st.br.Peek(wire.HeaderSize)
-	if err != nil {
-		return false
-	}
-	if hdr[1] != wire.TDecide {
-		return false
-	}
-	plen := int(binary.LittleEndian.Uint32(hdr[8:12]))
-	if plen > wire.MaxPayload {
-		// ReadFrame rejects the oversized prefix from the header alone, so
-		// gathering it cannot block; the window answers and hangs up.
-		return true
-	}
-	if st.br.Buffered() < wire.HeaderSize+plen+wire.TrailerSize {
-		return false
-	}
-	if plen >= 22 { // count u16 sits at payload offset 20
-		pk, err := st.br.Peek(wire.HeaderSize + 22)
-		if err != nil {
-			return false
-		}
-		if n := int(binary.LittleEndian.Uint16(pk[wire.HeaderSize+20:])); obsTotal+n > maxBatch {
-			return false
-		}
-	}
-	return true
 }
 
 // binError appends a TError frame for err and reports whether the

@@ -1,7 +1,12 @@
 // Binary front: the router's wire-v2 listener. One goroutine per device
 // connection, one BinCaller per connection as forwarding scratch, frames
 // answered strictly in order (devices pipeline; responses must not
-// reorder past the frames that produced them). Error frames carry the
+// reorder past the frames that produced them). Decides travel in windows,
+// the way a shard serves them: every complete decide frame already
+// buffered is started on its shard's connection, each connection is
+// flushed once, and the answers return in request order in one flush —
+// so a pipelining device keeps several forwards in flight instead of
+// paying a full shard round trip per frame. Error frames carry the
 // same codes and backoff hints a shard itself would send — including the
 // shard's own overload hint, which BinCaller surfaces as a BackoffError
 // and the front re-encodes unchanged — so a device cannot tell a router
@@ -71,6 +76,15 @@ type routerConnState struct {
 	clreq   wire.CloseReq
 	rsreq   wire.ResumeReq
 	caller  serve.BinCaller
+	win     []routerFwd // decide window, one entry per gathered frame
+}
+
+// routerFwd is one decide frame of a forwarding window: started on its
+// shard (err nil), or already failed and answered with err.
+type routerFwd struct {
+	reqID uint32
+	p     serve.PendingDecide
+	err   error
 }
 
 func (r *Router) serveBinConn(conn net.Conn) {
@@ -103,10 +117,10 @@ func (r *Router) serveBinConn(conn net.Conn) {
 			return
 		}
 		keep := r.handleBinFrame(st, h)
-		if st.br.Buffered() == 0 || !keep {
-			if err := st.bw.Flush(); err != nil {
-				return
-			}
+		// Every answer waited out a shard round trip: send it now rather
+		// than holding it behind the next frame's.
+		if err := st.bw.Flush(); err != nil {
+			return
 		}
 		if !keep {
 			routerGracefulClose(conn, st.br)
@@ -138,30 +152,26 @@ func (r *Router) binFrontError(st *routerConnState, reqID uint32, err error) boo
 		wire.AppendError(wire.BeginFrame(st.wbuf), serve.WireCode(err), backoffMs, err.Error()),
 		wire.TError, reqID)
 	st.bw.Write(st.wbuf)
-	return serve.WireCode(err) != wire.CodeBadRequest || !isRouterWireErr(err)
+	return routerKeeps(err)
 }
 
-func isRouterWireErr(err error) bool {
-	return errors.Is(err, wire.ErrTruncated) || errors.Is(err, wire.ErrBadPayload) || errors.Is(err, wire.ErrBadType)
+// routerKeeps reports whether the connection survives a failed frame:
+// session-level failures keep it, a malformed request poisons framing.
+func routerKeeps(err error) bool {
+	return serve.WireCode(err) != wire.CodeBadRequest ||
+		!(errors.Is(err, wire.ErrTruncated) || errors.Is(err, wire.ErrBadPayload) || errors.Is(err, wire.ErrBadType))
 }
 
-// handleBinFrame forwards one request frame, appending exactly one
-// response frame, and reports whether the connection stays open.
+// handleBinFrame forwards one request frame — or, for a decide, the
+// window it opens — appending exactly one response frame per request
+// frame, and reports whether the connection stays open. Forwards need no
+// context deadline: the shard client's per-call timer enforces
+// CallTimeout.
 func (r *Router) handleBinFrame(st *routerConnState, h wire.Header) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), r.cfg.CallTimeout)
-	defer cancel()
+	ctx := context.Background()
 	switch h.Type {
 	case wire.TDecide:
-		if err := wire.ParseDecideReq(st.payload, &st.dreq); err != nil {
-			return r.binFrontError(st, h.ReqID, err)
-		}
-		levels, err := r.Decide(ctx, &st.caller, st.dreq.Handle, st.dreq.Epoch, st.dreq.Seq, st.dreq.Obs)
-		if err != nil {
-			return r.binFrontError(st, h.ReqID, err)
-		}
-		st.wbuf = wire.FinishFrame(
-			wire.AppendDecideOK(wire.BeginFrame(st.wbuf), levels),
-			wire.TDecideOK, h.ReqID)
+		return r.forwardDecideWindow(st, h)
 	case wire.TCreate:
 		if err := wire.ParseCreateReq(st.payload, &st.creq); err != nil {
 			return r.binFrontError(st, h.ReqID, err)
@@ -222,4 +232,69 @@ func (r *Router) handleBinFrame(st *routerConnState, h wire.Header) bool {
 	}
 	st.bw.Write(st.wbuf)
 	return true
+}
+
+// forwardDecideWindow forwards the decide frame in hand plus every complete
+// decide frame already buffered behind it, up to serve.MaxWindowFrames,
+// never blocking mid-window. Each frame is resolved and started on its
+// owning shard's connection unflushed; then every shard connection is
+// flushed once and the answers are collected and encoded in request order.
+// Frames of one session share one shard connection, which the shard serves
+// in order, so they stay ordered. A non-decide frame ends the window; a
+// malformed or corrupt frame ends it too, is answered in order, and closes
+// the connection with nothing behind it forwarded.
+func (r *Router) forwardDecideWindow(st *routerConnState, h wire.Header) bool {
+	r.decideWindows.Add(1)
+	st.win = st.win[:0]
+	keep := r.startForward(st, h.ReqID)
+	for keep && len(st.win) < serve.MaxWindowFrames {
+		if _, ok := wire.BufferedDecide(st.br); !ok {
+			break
+		}
+		gh, payload, err := wire.ReadFrame(st.br, &st.hdr, st.payload)
+		st.payload = payload
+		if err != nil {
+			// The whole frame was buffered, so this is corruption, not
+			// truncation: answer it in order and hang up.
+			st.win = append(st.win, routerFwd{reqID: gh.ReqID, err: err})
+			keep = false
+			break
+		}
+		keep = r.startForward(st, gh.ReqID)
+	}
+	st.caller.Flush()
+	ctx := context.Background()
+	for i := range st.win {
+		f := &st.win[i]
+		if f.err == nil {
+			levels, err := r.finishDecide(ctx, &st.caller, f.p)
+			if err == nil {
+				st.wbuf = wire.FinishFrame(
+					wire.AppendDecideOK(wire.BeginFrame(st.wbuf), levels),
+					wire.TDecideOK, f.reqID)
+				st.bw.Write(st.wbuf)
+				continue
+			}
+			f.err = err
+		}
+		if !r.binFrontError(st, f.reqID, f.err) {
+			keep = false
+		}
+	}
+	return keep
+}
+
+// startForward parses the decide frame in st.payload, resolves its session
+// and starts its forward, appending the frame to the window. It reports
+// whether the gather may go on: false once the frame poisoned the stream.
+func (r *Router) startForward(st *routerConnState, reqID uint32) bool {
+	f := routerFwd{reqID: reqID}
+	if f.err = wire.ParseDecideReq(st.payload, &st.dreq); f.err == nil {
+		var s *routerSession
+		if s, f.err = r.lookupHandle(st.dreq.Handle, st.dreq.Epoch); f.err == nil {
+			f.p, f.err = r.startDecide(&st.caller, s, st.dreq.Seq, st.dreq.Obs)
+		}
+	}
+	st.win = append(st.win, f)
+	return f.err == nil || routerKeeps(f.err)
 }

@@ -52,6 +52,7 @@ type RouterMetrics struct {
 	Moved           uint64        `json:"moved"`
 	Decisions       uint64        `json:"decisions"`
 	DecideFrames    uint64        `json:"decide_frames"`
+	DecideWindows   uint64        `json:"decide_windows"`
 	Rewards         uint64        `json:"rewards"`
 	ForwardErrors   uint64        `json:"forward_errors"`
 	PerShard        []ShardStatus `json:"per_shard"`
@@ -418,6 +419,7 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 			Moved:           r.movedSessions.Load(),
 			Decisions:       fleetDecisions,
 			DecideFrames:    r.decideFrames.Load(),
+			DecideWindows:   r.decideWindows.Load(),
 			Rewards:         r.rewardsFwd.Load(),
 			ForwardErrors:   r.forwardErrors.Load(),
 			PerShard:        statuses,

@@ -107,6 +107,7 @@ type Router struct {
 	sessionsCreated *obs.Counter
 	resumesFwd      *obs.Counter
 	decideFrames    *obs.Counter
+	decideWindows   *obs.Counter
 	rewardsFwd      *obs.Counter
 	forwardErrors   *obs.Counter
 	movedSessions   *obs.Counter
@@ -136,6 +137,7 @@ func NewRouter(cfg RouterConfig, shards []ShardSpec) (*Router, error) {
 		sessionsCreated: reg.NewCounter("router_sessions_created_total", "device sessions placed on shards"),
 		resumesFwd:      reg.NewCounter("router_resumes_total", "resume requests forwarded (handoff completions)"),
 		decideFrames:    reg.NewCounter("router_decide_frames_total", "decide frames forwarded"),
+		decideWindows:   reg.NewCounter("router_decide_windows_total", "decide windows forwarded on the binary front (frames per window = frames / windows)"),
 		rewardsFwd:      reg.NewCounter("router_rewards_total", "reward reports forwarded"),
 		forwardErrors:   reg.NewCounter("router_forward_errors_total", "forwarded calls that failed"),
 		movedSessions:   reg.NewCounter("router_sessions_moved_total", "sessions invalidated by membership change (handoff signals sent)"),
@@ -552,24 +554,14 @@ func (s *routerSession) target() (*shardConn, uint64, uint32, error) {
 	return s.shard, s.shardHandle, s.shardEpoch, nil
 }
 
-// Decide forwards one decide frame. The returned slice is the caller's
-// scratch, valid until its next DecideSeq.
+// Decide forwards one decide frame: a window of one. The returned slice
+// is the caller's scratch, valid until its next decide.
 func (r *Router) Decide(ctx context.Context, c *serve.BinCaller, handle uint64, epoch uint32, seq uint64, wobs []wire.Obs) ([]int, error) {
 	s, err := r.lookupHandle(handle, epoch)
 	if err != nil {
 		return nil, err
 	}
-	sc, sh, se, err := s.target()
-	if err != nil {
-		return nil, err
-	}
-	levels, err := c.DecideSeq(ctx, sc.bc, sh, se, seq, wobs)
-	if err != nil {
-		r.forwardErrors.Add(1)
-		return nil, mapForwardErr(err, true)
-	}
-	r.decideFrames.Add(1)
-	return levels, nil
+	return r.decide(ctx, c, s, seq, wobs)
 }
 
 // DecideByID is Decide addressed by the HTTP front's session id.
@@ -578,11 +570,35 @@ func (r *Router) DecideByID(ctx context.Context, c *serve.BinCaller, id string, 
 	if err != nil {
 		return nil, err
 	}
-	sc, sh, se, err := s.target()
+	return r.decide(ctx, c, s, seq, c.ObsToWire(obs))
+}
+
+func (r *Router) decide(ctx context.Context, c *serve.BinCaller, s *routerSession, seq uint64, wobs []wire.Obs) ([]int, error) {
+	p, err := r.startDecide(c, s, seq, wobs)
 	if err != nil {
 		return nil, err
 	}
-	levels, err := c.DecideSeq(ctx, sc.bc, sh, se, seq, c.ObsToWire(obs))
+	c.Flush()
+	return r.finishDecide(ctx, c, p)
+}
+
+// startDecide queues s's decide on its shard's connection, unflushed (the
+// caller flushes once per window); finishDecide collects the answer.
+func (r *Router) startDecide(c *serve.BinCaller, s *routerSession, seq uint64, wobs []wire.Obs) (serve.PendingDecide, error) {
+	sc, sh, se, err := s.target()
+	if err != nil {
+		return serve.PendingDecide{}, err
+	}
+	p, err := c.StartDecide(sc.bc, sh, se, seq, wobs)
+	if err != nil {
+		r.forwardErrors.Add(1)
+		return p, mapForwardErr(err, true)
+	}
+	return p, nil
+}
+
+func (r *Router) finishDecide(ctx context.Context, c *serve.BinCaller, p serve.PendingDecide) ([]int, error) {
+	levels, err := c.FinishDecide(ctx, p)
 	if err != nil {
 		r.forwardErrors.Add(1)
 		return nil, mapForwardErr(err, true)

@@ -77,6 +77,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -452,6 +453,38 @@ func ParseDecideReq(p []byte, r *DecideReq) error {
 		o.Level = int(binary.LittleEndian.Uint16(rec[33:]))
 	}
 	return nil
+}
+
+// BufferedDecide reports whether the next frame buffered in br is a
+// complete decide frame, without consuming a byte or ever blocking, and
+// its declared observation count (0 when the payload is too short to carry
+// one). Pipelined servers use it to gather a window of decide frames: an
+// incomplete frame or another type ends the gather and stays buffered. An
+// oversized length prefix counts as complete — ReadFrame rejects it from
+// the header alone, so reading it cannot block either.
+func BufferedDecide(br *bufio.Reader) (count int, ok bool) {
+	if br.Buffered() < HeaderSize {
+		return 0, false
+	}
+	hdr, err := br.Peek(HeaderSize)
+	if err != nil || hdr[1] != TDecide {
+		return 0, false
+	}
+	plen := int(binary.LittleEndian.Uint32(hdr[8:12]))
+	if plen > MaxPayload {
+		return 0, true
+	}
+	if br.Buffered() < HeaderSize+plen+TrailerSize {
+		return 0, false
+	}
+	if plen < decideReqBase {
+		return 0, true
+	}
+	pk, err := br.Peek(HeaderSize + decideReqBase)
+	if err != nil {
+		return 0, false
+	}
+	return int(binary.LittleEndian.Uint16(pk[HeaderSize+decideReqBase-2:])), true
 }
 
 // DecideOK carries the chosen OPP level per observation — K×clusters

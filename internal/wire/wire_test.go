@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -335,6 +336,43 @@ func TestFrameAssemblyAndReadFrame(t *testing.T) {
 	r := io.MultiReader(bytes.NewReader(big[:]), neverReader{})
 	if _, _, err := ReadFrame(r, &hdr, nil); !errors.Is(err, ErrOversized) {
 		t.Fatalf("oversized prefix: %v", err)
+	}
+}
+
+// TestBufferedDecide pins the window-gather peek: only a complete decide
+// frame (or an oversized prefix, rejected from its header alone) counts,
+// the count comes from the payload, and nothing is consumed.
+func TestBufferedDecide(t *testing.T) {
+	obs := []Obs{{Utilization: 0.5}, {DemandRatio: 1}, {QoS: 1}}
+	decide := FinishFrame(AppendDecideReq(BeginFrame(nil), 1, 2, 3, obs), TDecide, 7)
+	reward := FinishFrame(AppendRewardReq(BeginFrame(nil), RewardReq{Handle: 1}), TReward, 8)
+	short := FinishFrame(append(BeginFrame(nil), 1, 2, 3), TDecide, 9)
+	var big [HeaderSize]byte
+	PutHeader(big[:], TDecide, 10, MaxPayload+1)
+	for _, tc := range []struct {
+		name   string
+		stream []byte
+		count  int
+		ok     bool
+	}{
+		{"empty", nil, 0, false},
+		{"partial header", decide[:HeaderSize-1], 0, false},
+		{"partial payload", decide[:len(decide)-1], 0, false},
+		{"complete", decide, len(obs), true},
+		{"complete, more behind", append(append([]byte(nil), decide...), reward...), len(obs), true},
+		{"other type", reward, 0, false},
+		{"short payload", short, 0, true},
+		{"oversized prefix", big[:], 0, true},
+	} {
+		br := bufio.NewReader(bytes.NewReader(tc.stream))
+		br.Peek(len(tc.stream)) // buffer the whole stream, as a pipelined read would
+		count, ok := BufferedDecide(br)
+		if count != tc.count || ok != tc.ok {
+			t.Errorf("%s: BufferedDecide = %d, %v; want %d, %v", tc.name, count, ok, tc.count, tc.ok)
+		}
+		if br.Buffered() != len(tc.stream) {
+			t.Errorf("%s: %d bytes buffered after the peek, want %d", tc.name, br.Buffered(), len(tc.stream))
+		}
 	}
 }
 
