@@ -71,7 +71,7 @@ bench-serve:
 
 # serve-smoke is the end-to-end binary check: start pmserve (HTTP + binary
 # listeners), load it with pmload over real HTTP and then over the binary
-# protocol, scrape /metrics and require populated decide-path histograms on
+# protocol at one and at four periods per frame, scrape /metrics and require populated decide-path histograms on
 # both transports, then SIGTERM it and require a clean exit.
 serve-smoke:
 	$(GO) build -o /tmp/pmserve ./cmd/pmserve
@@ -79,7 +79,7 @@ serve-smoke:
 	/tmp/pmserve -addr 127.0.0.1:7421 -listen-bin 127.0.0.1:7422 -quick & \
 	SERVE_PID=$$!; \
 	/tmp/pmload -addr http://127.0.0.1:7421 -devices 50 -duration 2s || { kill $$SERVE_PID; exit 1; }; \
-	/tmp/pmload -addr http://127.0.0.1:7421 -proto bin -bin-addr 127.0.0.1:7422 -devices 50 -duration 2s || { kill $$SERVE_PID; exit 1; }; \
+	/tmp/pmload -addr http://127.0.0.1:7421 -proto bin -bin-addr 127.0.0.1:7422 -devices 50 -duration 2s -periods-per-frame 4 || { kill $$SERVE_PID; exit 1; }; \
 	curl -fsS -o /tmp/metrics.prom http://127.0.0.1:7421/metrics || { kill $$SERVE_PID; exit 1; }; \
 	grep -q '# TYPE serve_decide_stage_ns histogram' /tmp/metrics.prom || { kill $$SERVE_PID; exit 1; }; \
 	grep -E 'serve_decide_stage_ns_count\{stage="backend"\} [1-9]' /tmp/metrics.prom >/dev/null || { kill $$SERVE_PID; exit 1; }; \

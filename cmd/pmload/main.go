@@ -105,31 +105,24 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
+	// faults is the -drop/-partial/-corrupt/-latency schedule.
+	faults := chaos.Config{
+		Seed:             *seed,
+		DropRate:         *dropRate,
+		PartialWriteRate: *partRate,
+		CorruptRate:      *corrRate,
+		LatencyRate:      *latRate,
+		LatencyFor:       *latFor,
+	}
 	if *learnMode {
 		os.Exit(runLearnMode(*devices, *periods, *scenario, *seed, *epsilon, *learnTick, *quick, *out))
 	}
 	if *chaosMode {
-		faults := chaos.Config{
-			Seed:             *seed,
-			DropRate:         *dropRate,
-			PartialWriteRate: *partRate,
-			CorruptRate:      *corrRate,
-			LatencyRate:      *latRate,
-			LatencyFor:       *latFor,
-		}
 		os.Exit(runChaosMode(ctx, *proto, *devices, *periods, *scenario, *seed, *epsilon, *restart, *quick, *out, faults))
 	}
 	if *shardChaos {
-		var faults chaos.Config
-		if *shardFaults {
-			faults = chaos.Config{
-				Seed:             *seed,
-				DropRate:         *dropRate,
-				PartialWriteRate: *partRate,
-				CorruptRate:      *corrRate,
-				LatencyRate:      *latRate,
-				LatencyFor:       *latFor,
-			}
+		if !*shardFaults {
+			faults = chaos.Config{}
 		}
 		os.Exit(runShardChaos(ctx, *proto, *shards, *devices, *periods, *scenario, *seed, *epsilon, *kill, *quick, *out, faults))
 	}
@@ -168,17 +161,9 @@ func main() {
 	if rep.SpeedupBatchedVsBin > 0 {
 		fmt.Printf("speedup batched bin (%d periods/frame) vs bin: %.2fx\n", *ppf, rep.SpeedupBatchedVsBin)
 	}
-	if *out != "" {
-		raw, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "pmload:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*out, append(raw, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "pmload:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *out)
+	if err := writeJSON(*out, rep); err != nil {
+		fmt.Fprintln(os.Stderr, "pmload:", err)
+		os.Exit(1)
 	}
 	if decisions == 0 {
 		fmt.Fprintln(os.Stderr, "pmload: no decisions served")
@@ -199,10 +184,7 @@ func main() {
 // traces and bit-identical learned checkpoints, and the learned checkpoint
 // loads back as a serving model.
 func runLearnMode(devices, periods int, scenario string, seed uint64, epsilon float64, tickEvery int, quick bool, out string) int {
-	opt := bench.DefaultOptions()
-	opt.Quick = quick
-	opt.Seed = seed
-	model, _, err := bench.TrainedServeModel(bench.ServeOptions{Options: opt, Scenario: scenario})
+	model, err := trainModel(scenario, seed, quick)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pmload:", err)
 		return 1
@@ -272,16 +254,9 @@ func runLearnMode(devices, periods int, scenario string, seed uint64, epsilon fl
 		return fail("learned checkpoint does not reload: %v", err)
 	}
 
-	if out != "" {
-		raw, err := json.MarshalIndent(rep, "", "  ")
-		if err == nil {
-			err = os.WriteFile(out, append(raw, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "pmload:", err)
-			return 1
-		}
-		fmt.Printf("wrote %s\n", out)
+	if err := writeJSON(out, rep); err != nil {
+		fmt.Fprintln(os.Stderr, "pmload:", err)
+		return 1
 	}
 	fmt.Println("learn: all invariants held (replay deterministic, checkpoint reloads)")
 	return 0
@@ -292,10 +267,7 @@ func runLearnMode(devices, periods int, scenario string, seed uint64, epsilon fl
 // a lost, duplicated, or changed decision, a leaked goroutine, or an
 // unreadable drain checkpoint.
 func runChaosMode(ctx context.Context, proto string, devices, periods int, scenario string, seed uint64, epsilon float64, restart string, quick bool, out string, faults chaos.Config) int {
-	opt := bench.DefaultOptions()
-	opt.Quick = quick
-	opt.Seed = seed
-	model, _, err := bench.TrainedServeModel(bench.ServeOptions{Options: opt, Scenario: scenario})
+	model, err := trainModel(scenario, seed, quick)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pmload:", err)
 		return 1
@@ -330,16 +302,9 @@ func runChaosMode(ctx context.Context, proto string, devices, periods int, scena
 			rep.Proto, rep.Devices, rep.Periods, rep.Decisions, rep.Retries, rep.Resumes, rep.Restarts, rep.Mismatches, rep.DurationS)
 		fmt.Printf("chaos: proxy conns=%d drops=%d stalls=%d partials=%d corrupts=%d delays=%d\n",
 			rep.ProxyConns, rep.ProxyDrops, rep.ProxyStalls, rep.ProxyPartials, rep.ProxyCorrupts, rep.ProxyDelays)
-		if out != "" {
-			raw, err := json.MarshalIndent(rep, "", "  ")
-			if err == nil {
-				err = os.WriteFile(out, append(raw, '\n'), 0o644)
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "pmload:", err)
-				return 1
-			}
-			fmt.Printf("wrote %s\n", out)
+		if err := writeJSON(out, rep); err != nil {
+			fmt.Fprintln(os.Stderr, "pmload:", err)
+			return 1
 		}
 	}
 	if cerr != nil {
@@ -357,10 +322,7 @@ func runChaosMode(ctx context.Context, proto string, devices, periods int, scena
 // violated — a lost, duplicated, or changed decision, an unmoved fleet, or
 // a leaked goroutine.
 func runShardChaos(ctx context.Context, proto string, shards, devices, periods int, scenario string, seed uint64, epsilon float64, kill, quick bool, out string, faults chaos.Config) int {
-	opt := bench.DefaultOptions()
-	opt.Quick = quick
-	opt.Seed = seed
-	model, _, err := bench.TrainedServeModel(bench.ServeOptions{Options: opt, Scenario: scenario})
+	model, err := trainModel(scenario, seed, quick)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pmload:", err)
 		return 1
@@ -383,16 +345,9 @@ func runShardChaos(ctx context.Context, proto string, shards, devices, periods i
 	if rep != nil {
 		fmt.Printf("shard-chaos: proto=%s shards=%d devices=%d periods=%d decisions=%d moved=%d resumes=%d removed=%s added=%s mismatches=%d in %.2fs\n",
 			rep.Proto, rep.Shards, rep.Devices, rep.Periods, rep.Decisions, rep.Moved, rep.Resumes, rep.Removed, rep.Added, rep.Mismatches, rep.DurationS)
-		if out != "" {
-			raw, err := json.MarshalIndent(rep, "", "  ")
-			if err == nil {
-				err = os.WriteFile(out, append(raw, '\n'), 0o644)
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "pmload:", err)
-				return 1
-			}
-			fmt.Printf("wrote %s\n", out)
+		if err := writeJSON(out, rep); err != nil {
+			fmt.Fprintln(os.Stderr, "pmload:", err)
+			return 1
 		}
 	}
 	if rerr != nil {
@@ -424,10 +379,7 @@ func runShardCurve(ctx context.Context, curve string, devices, workers int, dura
 		}
 		counts = append(counts, n)
 	}
-	opt := bench.DefaultOptions()
-	opt.Quick = quick
-	opt.Seed = seed
-	model, _, err := bench.TrainedServeModel(bench.ServeOptions{Options: opt, Scenario: scenario})
+	model, err := trainModel(scenario, seed, quick)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pmload:", err)
 		return 1
@@ -450,21 +402,16 @@ func runShardCurve(ctx context.Context, curve string, devices, workers int, dura
 			pt.Shards, pt.Report.Decisions, pt.Report.DecisionsPerSec,
 			pt.Report.LatencyNs.P50/1e6, pt.Report.LatencyNs.P99/1e6, fleetDecisions)
 	}
-	if out != "" && len(res.Points) > 0 {
+	if len(res.Points) > 0 {
 		rep := shardCurveReport{
 			GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 			Scenario:    scenario,
 			ScaleResult: res,
 		}
-		raw, err := json.MarshalIndent(rep, "", "  ")
-		if err == nil {
-			err = os.WriteFile(out, append(raw, '\n'), 0o644)
-		}
-		if err != nil {
+		if err := writeJSON(out, rep); err != nil {
 			fmt.Fprintln(os.Stderr, "pmload:", err)
 			return 1
 		}
-		fmt.Printf("wrote %s\n", out)
 	}
 	if serr != nil {
 		fmt.Fprintln(os.Stderr, "pmload:", serr)
@@ -477,6 +424,33 @@ func runShardCurve(ctx context.Context, curve string, devices, workers int, dura
 		}
 	}
 	return 0
+}
+
+// trainModel trains the serving model a self-contained mode hands to its
+// harness.
+func trainModel(scenario string, seed uint64, quick bool) (*serve.Model, error) {
+	opt := bench.DefaultOptions()
+	opt.Quick = quick
+	opt.Seed = seed
+	model, _, err := bench.TrainedServeModel(bench.ServeOptions{Options: opt, Scenario: scenario})
+	return model, err
+}
+
+// writeJSON writes v as indented JSON to out and says so; an empty out
+// writes nothing.
+func writeJSON(out string, v any) error {
+	if out == "" {
+		return nil
+	}
+	raw, err := json.MarshalIndent(v, "", "  ")
+	if err == nil {
+		err = os.WriteFile(out, append(raw, '\n'), 0o644)
+	}
+	if err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s\n", out)
+	return nil
 }
 
 // speedup returns bin-over-json decisions/sec when the run set holds one

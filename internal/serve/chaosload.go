@@ -19,9 +19,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"rlpm/internal/chaos"
@@ -59,14 +56,6 @@ type ChaosConfig struct {
 	// CheckpointPath receives the drain-mode final checkpoint; the
 	// harness verifies it loads. Required when Restart is "drain".
 	CheckpointPath string
-	// SessionTTL and QueueDeadline pass through to the server config.
-	SessionTTL    time.Duration
-	QueueDeadline time.Duration
-	// CallTimeout is the client per-attempt deadline (default 2s);
-	// RetryBudget the total retry window per call (default 30s — it must
-	// cover the restart gap).
-	CallTimeout time.Duration
-	RetryBudget time.Duration
 }
 
 func (c ChaosConfig) withDefaults() ChaosConfig {
@@ -88,13 +77,15 @@ func (c ChaosConfig) withDefaults() ChaosConfig {
 	if c.RewardEvery == 0 {
 		c.RewardEvery = 25
 	}
-	if c.CallTimeout == 0 {
-		c.CallTimeout = 2 * time.Second
-	}
-	if c.RetryBudget == 0 {
-		c.RetryBudget = 30 * time.Second
-	}
 	return c
+}
+
+// fleet is the device side of the run.
+func (c ChaosConfig) fleet() FleetConfig {
+	return FleetConfig{
+		Proto: c.Proto, Devices: c.Devices, Periods: c.Periods, Seed: c.Seed,
+		Scenario: c.Scenario, Epsilon: c.Epsilon, RewardEvery: c.RewardEvery,
+	}
 }
 
 // Validate checks the configuration.
@@ -151,37 +142,27 @@ type ChaosReport struct {
 
 	Mismatches int `json:"mismatches"` // devices whose sequence diverged from the oracle
 
-	GoroutinesStart int    `json:"goroutines_start"`
-	GoroutinesEnd   int    `json:"goroutines_end"`
-	HeapAllocStart  uint64 `json:"heap_alloc_start"`
-	HeapAllocEnd    uint64 `json:"heap_alloc_end"`
+	Hygiene
 
 	Server *Metrics `json:"server,omitempty"` // final incarnation's snapshot
 }
 
-// chaosPeriodS is the simulated control period (matches the load
-// generator's default).
-const chaosPeriodS = 0.05
-
 // incarnation is one server process stand-in: a Server plus its listener
-// and, for the json proto, the HTTP front end.
+// and, for the json proto, the HTTP front end. done closes when the serve
+// loop has returned, so stopping an incarnation twice — teardown after a
+// failed drain — does not block.
 type incarnation struct {
 	srv  *Server
 	ln   net.Listener
 	hs   *http.Server
-	done chan error
+	done chan struct{}
 }
 
 // startIncarnation listens on addr ("127.0.0.1:0" for the first, the
 // fixed previous address after a restart — retried briefly while the old
 // socket releases) and serves the chosen protocol.
 func startIncarnation(model *Model, cfg ChaosConfig, addr string, epoch uint32) (*incarnation, error) {
-	srv, err := New(model, nil, Config{
-		Epoch:          epoch,
-		SessionTTL:     cfg.SessionTTL,
-		QueueDeadline:  cfg.QueueDeadline,
-		CheckpointPath: cfg.CheckpointPath,
-	})
+	srv, err := New(model, nil, Config{Epoch: epoch, CheckpointPath: cfg.CheckpointPath})
 	if err != nil {
 		return nil, err
 	}
@@ -198,12 +179,12 @@ func startIncarnation(model *Model, cfg ChaosConfig, addr string, epoch uint32) 
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	inc := &incarnation{srv: srv, ln: ln, done: make(chan error, 1)}
+	inc := &incarnation{srv: srv, ln: ln, done: make(chan struct{})}
 	if cfg.Proto == "bin" {
-		go func() { inc.done <- inc.srv.ServeBin(ln) }()
+		go func() { defer close(inc.done); _ = inc.srv.ServeBin(ln) }()
 	} else {
 		inc.hs = &http.Server{Handler: srv.Handler()}
-		go func() { inc.done <- inc.hs.Serve(ln) }()
+		go func() { defer close(inc.done); _ = inc.hs.Serve(ln) }()
 	}
 	return inc, nil
 }
@@ -252,12 +233,9 @@ func RunChaos(ctx context.Context, model *Model, cfg ChaosConfig) (*ChaosReport,
 		return nil, err
 	}
 
-	runtime.GC()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
 	rep := &ChaosReport{
 		Proto: cfg.Proto, Devices: cfg.Devices, Periods: cfg.Periods,
-		GoroutinesStart: runtime.NumGoroutine(), HeapAllocStart: ms.HeapAlloc,
+		Hygiene: StartHygiene(),
 	}
 	start := time.Now()
 
@@ -268,7 +246,6 @@ func RunChaos(ctx context.Context, model *Model, cfg ChaosConfig) (*ChaosReport,
 		return rep, err
 	}
 	serverAddr := inc.ln.Addr().String()
-	var incMu sync.Mutex // guards inc across the restart controller
 
 	faults := cfg.Faults
 	if faults.Seed == 0 {
@@ -280,212 +257,62 @@ func RunChaos(ctx context.Context, model *Model, cfg ChaosConfig) (*ChaosReport,
 		return rep, err
 	}
 
-	// Clients, pointed at the proxy.
-	var bc *BinClient
-	var hc *Client
-	var open func(context.Context, SessionOptions) (deviceSession, error)
-	if cfg.Proto == "bin" {
-		bc = NewBinClient(proxy.Addr())
-		bc.SetCallTimeout(cfg.CallTimeout)
-		bc.SetRetryBudget(cfg.RetryBudget)
-		open = func(ctx context.Context, o SessionOptions) (deviceSession, error) { return bc.OpenSession(ctx, o) }
-	} else {
-		hc = NewClient("http://" + proxy.Addr())
-		hc.SetCallTimeout(cfg.CallTimeout)
-		hc.SetRetryBudget(cfg.RetryBudget)
-		open = func(ctx context.Context, o SessionOptions) (deviceSession, error) { return hc.CreateSession(ctx, o) }
-	}
-
+	// The restart: once half the fleet's decisions are acked, kill the
+	// incarnation and start epoch 2 on the same address. Clients ride it
+	// out through retry + resume. The step runs on the fleet's controller
+	// goroutine, and RunFleet returns only after it, so inc needs no lock.
 	total := uint64(cfg.Devices) * uint64(cfg.Periods)
-	var acked atomic.Uint64
-	var rewardsAcked atomic.Uint64
-
-	// Restart controller: once half the fleet's decisions are acked, kill
-	// the incarnation and start epoch 2 on the same address. Clients ride
-	// it out through retry + resume. Devices that have seen the threshold
-	// hold before their next decide until the restart lands (otherwise a
-	// fast fleet can drain the whole run in the controller's poll window
-	// and the restart exercises nothing); devices that haven't observed it
-	// yet keep frames in flight across the kill.
-	restartDone := make(chan error, 1)
-	restartGate := make(chan struct{})
-	if cfg.Restart == "" {
-		close(restartGate)
-		restartDone <- nil
-	} else {
-		go func() {
-			defer close(restartGate)
-			guard := time.Now().Add(60 * time.Second)
-			for acked.Load() < total/2 {
-				if ctx.Err() != nil {
-					restartDone <- ctx.Err()
-					return
-				}
-				if time.Now().After(guard) {
-					restartDone <- fmt.Errorf("serve: chaos fleet stalled before restart point (%d/%d acked)", acked.Load(), total)
-					return
-				}
-				time.Sleep(2 * time.Millisecond)
-			}
-			incMu.Lock()
-			old := inc
-			incMu.Unlock()
-			var derr error
+	var steps []FleetStep
+	if cfg.Restart != "" {
+		steps = []FleetStep{{At: total / 2, Do: func() error {
 			if cfg.Restart == "drain" {
-				derr = old.drain(ctx)
-				if derr == nil {
-					// The farewell checkpoint must exist and decode.
-					if _, lerr := LoadCheckpoint(cfg.CheckpointPath); lerr != nil {
-						derr = fmt.Errorf("serve: drain checkpoint unreadable: %w", lerr)
-					} else {
-						rep.DrainCheckpoint = true
-					}
+				if err := inc.drain(ctx); err != nil {
+					return err
 				}
+				// The farewell checkpoint must exist and decode.
+				if _, err := LoadCheckpoint(cfg.CheckpointPath); err != nil {
+					return fmt.Errorf("serve: drain checkpoint unreadable: %w", err)
+				}
+				rep.DrainCheckpoint = true
 			} else {
-				old.crash()
+				inc.crash()
 			}
-			if derr != nil {
-				restartDone <- derr
-				return
-			}
-			next, serr := startIncarnation(model, cfg, serverAddr, 2)
-			if serr != nil {
-				restartDone <- serr
-				return
-			}
-			incMu.Lock()
-			inc = next
-			incMu.Unlock()
-			rep.Restarts++
-			restartDone <- nil
-		}()
-	}
-
-	// The fleet. Each device records its full decision sequence.
-	sequences := make([][]int, cfg.Devices)
-	devErrs := make([]error, cfg.Devices)
-	var wg sync.WaitGroup
-	for d := 0; d < cfg.Devices; d++ {
-		wg.Add(1)
-		go func(idx int) {
-			defer wg.Done()
-			seed := DeviceSeed(cfg.Seed, idx)
-			sess, err := open(ctx, SessionOptions{Epsilon: cfg.Epsilon, Seed: seed})
+			next, err := startIncarnation(model, cfg, serverAddr, 2)
 			if err != nil {
-				devErrs[idx] = fmt.Errorf("device %d open: %w", idx, err)
-				return
-			}
-			decide := func(_ int, obs []Observation) ([]int, error) {
-				lv, err := sess.Decide(ctx, obs)
-				if err == nil {
-					if acked.Add(1) >= total/2 {
-						select {
-						case <-restartGate:
-						case <-ctx.Done():
-							return nil, ctx.Err()
-						}
-					}
-				}
-				return lv, err
-			}
-			reward := func(r float64) error {
-				_, err := sess.Reward(ctx, r)
-				if err == nil {
-					rewardsAcked.Add(1)
-				}
 				return err
 			}
-			sequences[idx], err = chaosDevice(cfg, seed, decide, reward)
-			if err != nil {
-				devErrs[idx] = fmt.Errorf("device %d: %w", idx, err)
-				return
-			}
-			cctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			if _, err := sess.Close(cctx); err != nil {
-				devErrs[idx] = fmt.Errorf("device %d close: %w", idx, err)
-			}
-		}(d)
+			inc = next
+			rep.Restarts++
+			return nil
+		}}}
 	}
-	wg.Wait()
-	restartErr := <-restartDone
+	run := RunFleet(ctx, proxy.Addr(), cfg.fleet(), steps)
 
 	// Teardown, collecting the final incarnation's metrics first.
-	incMu.Lock()
-	final := inc
-	incMu.Unlock()
-	m := final.srv.MetricsSnapshot()
+	m := inc.srv.MetricsSnapshot()
 	rep.Server = &m
-	final.crash()
+	inc.crash()
 	proxy.Close()
-	if bc != nil {
-		st := bc.TransportStats()
-		rep.Dials, rep.Retries, rep.Resumes = st.Dials, st.Retries, st.Resumes
-		bc.Close()
-	}
-	if hc != nil {
-		st := hc.TransportStats()
-		rep.Retries, rep.Resumes = st.Retries, st.Resumes
-		hc.CloseIdleConnections()
-	}
+	rep.Dials, rep.Retries, rep.Resumes = run.Transport.Dials, run.Transport.Retries, run.Transport.Resumes
 	ps := proxy.Stats()
 	rep.ProxyConns, rep.ProxyDrops, rep.ProxyStalls = ps.Conns, ps.Drops, ps.Stalls
 	rep.ProxyPartials, rep.ProxyCorrupts, rep.ProxyDelays = ps.Partials, ps.Corrupts, ps.Delays
-	rep.Decisions = acked.Load()
-	rep.RewardsAcked = rewardsAcked.Load()
+	rep.Decisions = run.Decisions
+	rep.RewardsAcked = run.Rewards
 	rep.ServerRewards = m.Rewards
 	rep.RewardsDeduped = m.RewardsDeduped
 	rep.DurationS = time.Since(start).Seconds()
 
-	// Fault-free oracle: the same fleet served by an in-process server.
-	// Every device's sequence must match exactly — faults may cost time,
-	// never correctness.
-	if err := func() error {
-		oracle, err := New(model, nil, Config{})
-		if err != nil {
-			return err
-		}
-		defer oracle.Close()
-		for idx := 0; idx < cfg.Devices; idx++ {
-			if devErrs[idx] != nil {
-				continue
-			}
-			seed := DeviceSeed(cfg.Seed, idx)
-			sess, err := oracle.CreateSession(SessionOptions{Epsilon: cfg.Epsilon, Seed: seed})
-			if err != nil {
-				return err
-			}
-			want, err := chaosDevice(cfg, seed, func(_ int, obs []Observation) ([]int, error) {
-				return sess.Decide(obs)
-			}, nil)
-			if err != nil {
-				return fmt.Errorf("oracle device %d: %w", idx, err)
-			}
-			if !equalInts(sequences[idx], want) {
-				rep.Mismatches++
-			}
-		}
-		return nil
-	}(); err != nil {
+	if rep.Mismatches, err = OracleMismatches(model, cfg.fleet(), run); err != nil {
 		return rep, err
 	}
-
-	// Hygiene: goroutines must settle back to the baseline and the heap
-	// must not have ballooned.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > rep.GoroutinesStart && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	runtime.GC()
-	runtime.ReadMemStats(&ms)
-	rep.GoroutinesEnd = runtime.NumGoroutine()
-	rep.HeapAllocEnd = ms.HeapAlloc
+	hygieneErr := rep.Hygiene.Settle()
 
 	switch {
-	case restartErr != nil:
-		return rep, fmt.Errorf("serve: chaos restart: %w", restartErr)
-	case firstErr(devErrs) != nil:
-		return rep, fmt.Errorf("serve: chaos device failed: %w", firstErr(devErrs))
+	case run.StepErr != nil:
+		return rep, fmt.Errorf("serve: chaos restart: %w", run.StepErr)
+	case run.DeviceErr() != nil:
+		return rep, fmt.Errorf("serve: chaos device failed: %w", run.DeviceErr())
 	case rep.Decisions != total:
 		return rep, fmt.Errorf("serve: chaos acked %d decisions, want %d", rep.Decisions, total)
 	case rep.Mismatches > 0:
@@ -498,44 +325,8 @@ func RunChaos(ctx context.Context, model *Model, cfg ChaosConfig) (*ChaosReport,
 		// don't cover rewards applied before the kill.
 		return rep, fmt.Errorf("serve: chaos reward ledger %d != %d client-acked (deduped %d)",
 			rep.ServerRewards, rep.RewardsAcked, rep.RewardsDeduped)
-	case rep.GoroutinesEnd > rep.GoroutinesStart:
-		return rep, fmt.Errorf("serve: chaos leaked goroutines: %d before, %d after", rep.GoroutinesStart, rep.GoroutinesEnd)
-	case rep.HeapAllocEnd > rep.HeapAllocStart+256<<20:
-		return rep, fmt.Errorf("serve: chaos heap grew %d bytes", rep.HeapAllocEnd-rep.HeapAllocStart)
+	case hygieneErr != nil:
+		return rep, fmt.Errorf("serve: chaos %w", hygieneErr)
 	}
 	return rep, nil
-}
-
-// chaosDevice runs one device's full chip-simulation life — the shared
-// RunDeviceSim loop, period-counted so completeness is exact, with the
-// decision sequence recorded for the oracle diff.
-func chaosDevice(cfg ChaosConfig, seed uint64, decide func(int, []Observation) ([]int, error), reward func(float64) error) ([]int, error) {
-	return RunDeviceSim(DeviceSimConfig{
-		Scenario:    cfg.Scenario,
-		Periods:     cfg.Periods,
-		Seed:        seed,
-		PeriodS:     chaosPeriodS,
-		RewardEvery: cfg.RewardEvery,
-	}, decide, reward)
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func firstErr(errs []error) error {
-	for _, e := range errs {
-		if e != nil {
-			return e
-		}
-	}
-	return nil
 }

@@ -187,3 +187,28 @@ func TestChaosConfigValidate(t *testing.T) {
 		}
 	}
 }
+
+// TestChaosFailedDrainReports drains into a checkpoint path whose
+// directory does not exist, so the restart step fails. RunChaos must
+// report that failure promptly and tear down cleanly: the fleet stops
+// instead of retrying against the dead address, and stopping the drained
+// incarnation a second time does not block.
+func TestChaosFailedDrainReports(t *testing.T) {
+	defer leaktest.Check(t)()
+	start := time.Now()
+	_, err := RunChaos(context.Background(), chaosTestModel(t), ChaosConfig{
+		Proto:          "bin",
+		Devices:        2,
+		Periods:        20,
+		Seed:           3,
+		Epsilon:        0.2,
+		Restart:        "drain",
+		CheckpointPath: filepath.Join(t.TempDir(), "missing", "drain.ckpt"),
+	})
+	if err == nil || !strings.Contains(err.Error(), "chaos restart") {
+		t.Fatalf("RunChaos = %v, want a restart failure", err)
+	}
+	if d := time.Since(start); d > 15*time.Second {
+		t.Fatalf("failed restart took %v to report", d)
+	}
+}

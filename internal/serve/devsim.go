@@ -32,7 +32,9 @@ type DeviceSimConfig struct {
 	// Scenario is the workload name (workload.ByName).
 	Scenario string
 	// Periods is the decide count — the sim is work-based, so harness
-	// completeness invariants are exact.
+	// completeness invariants are exact. The trace holds only the first
+	// Periods applied periods, so a time-based caller that applies past
+	// them (or sets 0) does not grow it.
 	Periods int
 	// Seed is the device's stream seed (DeviceSeed(base, idx)).
 	Seed uint64
@@ -102,7 +104,8 @@ func (d *DeviceStepper) Period() int { return d.period }
 // is reused across periods.
 func (d *DeviceStepper) Obs() []Observation { return d.obs }
 
-// Trace is the flat decision sequence recorded so far, for oracle diffs.
+// Trace is the flat decision sequence recorded so far — at most the
+// first Periods periods — for oracle diffs.
 func (d *DeviceStepper) Trace() []int { return d.trace }
 
 // EnergyJ is the total simulated energy consumed so far.
@@ -126,7 +129,9 @@ func (d *DeviceStepper) Apply(levels []int) (reward float64, due bool, err error
 	if len(levels) != n {
 		return 0, false, fmt.Errorf("serve: %d levels for %d clusters", len(levels), n)
 	}
-	d.trace = append(d.trace, levels...)
+	if d.period < d.cfg.Periods {
+		d.trace = append(d.trace, levels...)
+	}
 	for i, lvl := range levels {
 		d.chip.Cluster(i).SetLevel(lvl)
 	}

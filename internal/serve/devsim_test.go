@@ -82,3 +82,27 @@ func TestDeviceSimStreamEndpointIndependent(t *testing.T) {
 		t.Fatalf("sequence length %d, want %d", len(a), 40*model.Clusters())
 	}
 }
+
+// TestDeviceStepperTraceBounded applies a stepper well past its Periods,
+// as a time-based fleet does, and requires the trace to stop growing at
+// Periods×clusters; with Periods 0 nothing is recorded at all.
+func TestDeviceStepperTraceBounded(t *testing.T) {
+	for _, periods := range []int{0, 5} {
+		d, err := NewDeviceStepper(DeviceSimConfig{Scenario: "gaming", Periods: periods, Seed: 11})
+		if err != nil {
+			t.Fatalf("NewDeviceStepper: %v", err)
+		}
+		levels := make([]int, d.Clusters())
+		for p := 0; p < periods+20; p++ {
+			for i, o := range d.Obs() {
+				levels[i] = o.Level
+			}
+			if _, _, err := d.Apply(levels); err != nil {
+				t.Fatalf("Apply at period %d: %v", p, err)
+			}
+		}
+		if got, want := len(d.Trace()), periods*d.Clusters(); got != want {
+			t.Fatalf("Periods %d: trace length %d after %d applies, want %d", periods, got, periods+20, want)
+		}
+	}
+}

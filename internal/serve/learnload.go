@@ -37,9 +37,8 @@ type LearnLoadConfig struct {
 	// TickEvery drains the learner every that many rounds (default 10).
 	// A round is one period across the whole fleet.
 	TickEvery int
-	// Alpha, Gamma, SwapEvery pass through to LearnConfig.
-	Alpha, Gamma float64
-	SwapEvery    int
+	// SwapEvery passes through to LearnConfig.
+	SwapEvery int
 }
 
 func (c LearnLoadConfig) withDefaults() LearnLoadConfig {
@@ -106,8 +105,6 @@ func RunLearn(model *Model, cfg LearnLoadConfig) (*LearnReport, error) {
 			Enabled:   true,
 			Manual:    true,
 			Seed:      cfg.Seed,
-			Alpha:     cfg.Alpha,
-			Gamma:     cfg.Gamma,
 			SwapEvery: cfg.SwapEvery,
 		},
 	})

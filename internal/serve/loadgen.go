@@ -8,16 +8,14 @@ import (
 	"time"
 
 	"rlpm/internal/obs"
-	"rlpm/internal/qos"
-	"rlpm/internal/soc"
 	"rlpm/internal/stats"
 	"rlpm/internal/workload"
 )
 
 // LoadConfig parameterizes a load-generation run: N simulated devices,
-// each running its own chip model and workload scenario locally and asking
-// the server for every OPP decision — the fleet-shaped traffic the serving
-// subsystem exists for.
+// each stepping its own DeviceStepper locally, asking the server for every
+// OPP decision and posting a reward every 50 periods — the fleet-shaped
+// traffic the serving subsystem exists for.
 type LoadConfig struct {
 	// BaseURL targets the server's HTTP listener (e.g.
 	// "http://127.0.0.1:7421"). Health checks and the post-run metrics
@@ -48,9 +46,6 @@ type LoadConfig struct {
 	Workers int
 	// Duration is the wall-clock run length.
 	Duration time.Duration
-	// PeriodS is each device's simulated DVFS control period (default 50 ms
-	// of simulated time; the wire round trip is what's actually measured).
-	PeriodS float64
 	// Scenario is the workload every device runs (default "gaming");
 	// per-device seeds decorrelate the demand streams.
 	Scenario string
@@ -58,9 +53,6 @@ type LoadConfig struct {
 	Seed uint64
 	// Epsilon is the per-session exploration rate (default 0: greedy).
 	Epsilon float64
-	// RewardEvery posts a device-computed reward every that many periods;
-	// 0 disables reward traffic (default 50).
-	RewardEvery int
 	// PeriodsPerFrame bundles that many consecutive control periods into
 	// each decide frame (default 1). K>1 requires the binary protocol
 	// (BinSession.DecideMany): the device simulates K periods at its
@@ -75,17 +67,11 @@ func (c LoadConfig) withDefaults() LoadConfig {
 	if c.Proto == "" {
 		c.Proto = "json"
 	}
-	if c.PeriodS == 0 {
-		c.PeriodS = 0.05
-	}
 	if c.Scenario == "" {
 		c.Scenario = "gaming"
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.RewardEvery == 0 {
-		c.RewardEvery = 50
 	}
 	if c.PeriodsPerFrame == 0 {
 		c.PeriodsPerFrame = 1
@@ -119,8 +105,8 @@ func (c LoadConfig) Validate() error {
 	if c.Duration <= 0 {
 		return fmt.Errorf("serve: non-positive duration %v", c.Duration)
 	}
-	if c.PeriodS < 0 || c.Epsilon < 0 || c.Epsilon > 1 {
-		return fmt.Errorf("serve: bad period %v or epsilon %v", c.PeriodS, c.Epsilon)
+	if c.Epsilon < 0 || c.Epsilon > 1 {
+		return fmt.Errorf("serve: bad epsilon %v", c.Epsilon)
 	}
 	if c.PeriodsPerFrame < 0 {
 		return fmt.Errorf("serve: negative periods per frame %d", c.PeriodsPerFrame)
@@ -312,9 +298,10 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 	return rep, nil
 }
 
-// deviceSession is what a load-generated device needs from a session,
-// satisfied by both RemoteSession (HTTP/JSON) and BinSession (wire frames)
-// so one device loop measures either transport.
+// deviceSession is what a simulated device needs from a session, satisfied
+// by both RemoteSession (HTTP/JSON) and BinSession (wire frames), so one
+// device loop — the load generator's or the differential fleet's — drives
+// either transport.
 type deviceSession interface {
 	NumClusters() int
 	Decide(ctx context.Context, obs []Observation) ([]int, error)
@@ -322,120 +309,74 @@ type deviceSession interface {
 	Close(ctx context.Context) (SessionStats, error)
 }
 
-// multiPeriodSession is the optional frame-batching extension a session
-// needs for PeriodsPerFrame > 1; BinSession implements it.
-type multiPeriodSession interface {
-	DecideMany(ctx context.Context, obs []Observation) ([]int, error)
-}
+// loadRewardEvery is the load generator's reward cadence in periods.
+const loadRewardEvery = 50
 
-// loadDevice is one simulated device's live state: local chip + scenario,
+// loadDevice is one simulated device's live state: its DeviceStepper,
 // its session, and the frame-assembly scratch. The per-device loop is a
 // struct (not a closed-over goroutine body) so a worker can interleave
 // many devices frame-by-frame without one goroutine each.
 type loadDevice struct {
-	cfg     LoadConfig
-	st      *deviceStats
-	sess    deviceSession
-	decide  func(context.Context, []Observation) ([]int, error)
-	chip    *soc.Chip
-	scen    workload.Scenario
-	obs     []Observation
-	frame   []Observation
-	chipRes soc.ChipStep
-	k, n    int
-	period  int
+	st     *deviceStats
+	sess   deviceSession
+	decide func(context.Context, []Observation) ([]int, error)
+	step   *DeviceStepper
+	cur    []int
+	frame  []Observation
+	k      int
 }
 
-// newLoadDevice builds device idx's chip, scenario, and session. Errors
-// are counted into st and returned; the device never joins the fleet.
+// newLoadDevice builds device idx's stepper and session. Errors are
+// counted into st and returned; the device never joins the fleet.
 func newLoadDevice(ctx context.Context, open func(context.Context, SessionOptions) (deviceSession, error), cfg LoadConfig, idx int, st *deviceStats) (*loadDevice, error) {
-	chip, err := soc.NewChip(soc.DefaultChipSpec())
-	if err != nil {
-		return nil, err
-	}
-	spec, err := workload.ByName(cfg.Scenario)
-	if err != nil {
-		return nil, err
-	}
 	seed := DeviceSeed(cfg.Seed, idx)
-	scen, err := workload.New(spec, chip.NumClusters(), seed)
+	// Periods stays 0: the load run is time-based, so nothing is traced.
+	step, err := NewDeviceStepper(DeviceSimConfig{Scenario: cfg.Scenario, Seed: seed, RewardEvery: loadRewardEvery})
 	if err != nil {
 		return nil, err
 	}
-	chip.Reset()
-	scen.Reset(seed)
-
 	sess, err := open(ctx, SessionOptions{Epsilon: cfg.Epsilon, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
-	d := &loadDevice{cfg: cfg, st: st, sess: sess, chip: chip, scen: scen, k: cfg.PeriodsPerFrame, n: chip.NumClusters()}
+	n := step.Clusters()
+	d := &loadDevice{st: st, sess: sess, decide: sess.Decide, step: step, cur: make([]int, n), k: cfg.PeriodsPerFrame}
 	fail := func(err error) (*loadDevice, error) {
 		d.close()
 		return nil, err
 	}
-	if sess.NumClusters() != d.n {
-		return fail(fmt.Errorf("server chip has %d clusters, device has %d", sess.NumClusters(), d.n))
+	if sess.NumClusters() != n {
+		return fail(fmt.Errorf("server chip has %d clusters, device has %d", sess.NumClusters(), n))
 	}
-	d.decide = sess.Decide
 	if d.k > 1 {
-		mp, ok := sess.(multiPeriodSession)
+		bs, ok := sess.(*BinSession)
 		if !ok {
 			return fail(fmt.Errorf("session %T cannot batch %d periods per frame", sess, d.k))
 		}
-		d.decide = mp.DecideMany
+		d.decide = bs.DecideMany
 	}
-	d.obs = make([]Observation, d.n)
-	for i := range d.obs {
-		d.obs[i] = Observation{QoS: 1, ClusterQoS: 1, Level: chip.Cluster(i).Level()}
-	}
-	d.frame = make([]Observation, 0, d.k*d.n)
+	d.frame = make([]Observation, 0, d.k*n)
 	return d, nil
 }
 
-// stepOnce advances the device one control period at its current OPP
-// levels and rebuilds obs from the step's telemetry.
-func (d *loadDevice) stepOnce() error {
-	p := d.scen.Next(d.cfg.PeriodS)
-	if err := d.chip.StepInto(&d.chipRes, p.Demands, d.cfg.PeriodS); err != nil {
-		return err
-	}
-	var demanded, completed float64
-	for i, dem := range p.Demands {
-		demanded += dem.Cycles
-		completed += d.chipRes.Clusters[i].CompletedCycles
-	}
-	q := qos.PeriodQoS(demanded, completed)
-	for i := range d.obs {
-		cr := d.chipRes.Clusters[i]
-		dr := 0.0
-		if cr.CapacityCycles > 0 {
-			dr = p.Demands[i].Cycles / cr.CapacityCycles
-		}
-		d.obs[i] = Observation{
-			Utilization: cr.Utilization,
-			DemandRatio: dr,
-			QoS:         q,
-			ClusterQoS:  qos.PeriodQoS(p.Demands[i].Cycles, cr.CompletedCycles),
-			Critical:    p.Critical,
-			Level:       d.chip.Cluster(i).Level(),
-		}
-	}
-	return nil
-}
-
 // frameStep runs one decide frame: assemble the K-period frame, fetch the
-// decision, apply the freshest period's levels, advance the chip, and
-// post the reward on cadence.
+// decision, apply the freshest period's levels, and post the reward when
+// a RewardEvery boundary fell inside the frame.
 func (d *loadDevice) frameStep(ctx context.Context, hist *obs.Histogram) error {
 	// Assemble the frame: the current period's observations, plus k-1
 	// further periods simulated open-loop at the current levels.
-	d.frame = append(d.frame[:0], d.obs...)
+	d.frame = append(d.frame[:0], d.step.Obs()...)
+	due := false
 	for p := 1; p < d.k; p++ {
-		if err := d.stepOnce(); err != nil {
+		for i, o := range d.step.Obs() {
+			d.cur[i] = o.Level
+		}
+		_, dueP, err := d.step.Apply(d.cur)
+		if err != nil {
 			return err
 		}
-		d.frame = append(d.frame, d.obs...)
+		due = due || dueP
+		d.frame = append(d.frame, d.step.Obs()...)
 	}
 	t0 := time.Now()
 	levels, err := d.decide(ctx, d.frame)
@@ -446,20 +387,18 @@ func (d *loadDevice) frameStep(ctx context.Context, hist *obs.Histogram) error {
 	lat := time.Since(t0).Nanoseconds()
 	d.st.latencies = append(d.st.latencies, lat)
 	hist.Observe(lat)
-	if len(levels) != d.k*d.n {
-		return fmt.Errorf("server returned %d levels for %d observations", len(levels), d.k*d.n)
+	n := len(d.cur)
+	if len(levels) != d.k*n {
+		return fmt.Errorf("server returned %d levels for %d observations", len(levels), d.k*n)
 	}
 	// Apply the final period's decision — the freshest one — and step
 	// into the next period under it.
-	for i := 0; i < d.n; i++ {
-		d.chip.Cluster(i).SetLevel(levels[(d.k-1)*d.n+i])
-	}
-	if err := d.stepOnce(); err != nil {
+	r, dueP, err := d.step.Apply(levels[(d.k-1)*n:])
+	if err != nil {
 		return err
 	}
-	d.period += d.k
-	if d.cfg.RewardEvery > 0 && d.period/d.cfg.RewardEvery != (d.period-d.k)/d.cfg.RewardEvery {
-		if _, err := d.sess.Reward(ctx, -d.chipRes.EnergyJ); err != nil {
+	if due || dueP {
+		if _, err := d.sess.Reward(ctx, r); err != nil {
 			return err
 		}
 	}

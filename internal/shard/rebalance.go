@@ -17,10 +17,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"rlpm/internal/chaos"
@@ -45,9 +42,6 @@ type RebalanceConfig struct {
 	// Epsilon is the per-session exploration rate — non-zero makes
 	// decisions stateful, so any handoff bug diverges the sequence.
 	Epsilon float64
-	// RewardEvery posts a reward every that many periods (default 25;
-	// negative disables).
-	RewardEvery int
 	// Shards is the initial shard count (default 2).
 	Shards int
 	// Rebalance, when true, removes the most-loaded shard once a third of
@@ -61,14 +55,14 @@ type RebalanceConfig struct {
 	// Faults is an optional fault schedule injected between devices and
 	// the router. Its Seed defaults to Seed.
 	Faults chaos.Config
-	// SessionTTL / QueueDeadline pass through to every shard's config.
-	SessionTTL    time.Duration
-	QueueDeadline time.Duration
-	// CallTimeout is the device per-attempt deadline (default 2s);
-	// RetryBudget the total retry window per call (default 30s).
-	CallTimeout time.Duration
-	RetryBudget time.Duration
 }
+
+// Every device posts a reward each rebalanceRewardEvery periods; the
+// router gives each forwarded call rebalanceCallTimeout.
+const (
+	rebalanceRewardEvery = 25
+	rebalanceCallTimeout = 2 * time.Second
+)
 
 func (c RebalanceConfig) withDefaults() RebalanceConfig {
 	if c.Proto == "" {
@@ -86,19 +80,18 @@ func (c RebalanceConfig) withDefaults() RebalanceConfig {
 	if c.Scenario == "" {
 		c.Scenario = "gaming"
 	}
-	if c.RewardEvery == 0 {
-		c.RewardEvery = 25
-	}
 	if c.Shards == 0 {
 		c.Shards = 2
 	}
-	if c.CallTimeout == 0 {
-		c.CallTimeout = 2 * time.Second
-	}
-	if c.RetryBudget == 0 {
-		c.RetryBudget = 30 * time.Second
-	}
 	return c
+}
+
+// fleet is the device side of the run.
+func (c RebalanceConfig) fleet() serve.FleetConfig {
+	return serve.FleetConfig{
+		Proto: c.Proto, Devices: c.Devices, Periods: c.Periods, Seed: c.Seed,
+		Scenario: c.Scenario, Epsilon: c.Epsilon, RewardEvery: rebalanceRewardEvery,
+	}
 }
 
 // Validate checks the configuration.
@@ -140,21 +133,8 @@ type RebalanceReport struct {
 
 	Mismatches int `json:"mismatches"`
 
-	GoroutinesStart int    `json:"goroutines_start"`
-	GoroutinesEnd   int    `json:"goroutines_end"`
-	HeapAllocStart  uint64 `json:"heap_alloc_start"`
-	HeapAllocEnd    uint64 `json:"heap_alloc_end"`
+	serve.Hygiene
 }
-
-// devSession is the device-facing session face both transports share.
-type devSession interface {
-	Decide(ctx context.Context, obs []serve.Observation) ([]int, error)
-	Reward(ctx context.Context, r float64) (serve.SessionStats, error)
-	Close(ctx context.Context) (serve.SessionStats, error)
-}
-
-// rebalancePeriodS matches the chaos harness's simulated control period.
-const rebalancePeriodS = 0.05
 
 // RunRebalance executes one sharded differential run against model.
 func RunRebalance(ctx context.Context, model *serve.Model, cfg RebalanceConfig) (*RebalanceReport, error) {
@@ -166,38 +146,69 @@ func RunRebalance(ctx context.Context, model *serve.Model, cfg RebalanceConfig) 
 		return nil, err
 	}
 
-	runtime.GC()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
 	rep := &RebalanceReport{
 		Proto: cfg.Proto, Shards: cfg.Shards, Devices: cfg.Devices, Periods: cfg.Periods,
-		GoroutinesStart: runtime.NumGoroutine(), HeapAllocStart: ms.HeapAlloc,
+		Hygiene: serve.StartHygiene(),
 	}
 	start := time.Now()
-
-	// The fleet: N checkpoint-hydrated replicas.
-	fleet, err := NewFleet(model, cfg.Shards, serve.Config{
-		SessionTTL:    cfg.SessionTTL,
-		QueueDeadline: cfg.QueueDeadline,
-	})
+	run, err := runShardedFleet(ctx, model, cfg, rep)
 	if err != nil {
 		return rep, err
+	}
+	rep.Decisions = run.Decisions
+	rep.DurationS = time.Since(start).Seconds()
+	rep.Dials, rep.Retries, rep.Resumes = run.Transport.Dials, run.Transport.Retries, run.Transport.Resumes
+
+	// Fault-free single-process oracle over the same model: the sharded
+	// fleet must be byte-identical, device for device.
+	if rep.Mismatches, err = serve.OracleMismatches(model, cfg.fleet(), run); err != nil {
+		return rep, err
+	}
+	// The fleet, router, front and proxy are torn down by now, so their
+	// goroutines count against the baseline.
+	hygieneErr := rep.Hygiene.Settle()
+
+	total := uint64(cfg.Devices) * uint64(cfg.Periods)
+	switch {
+	case run.StepErr != nil:
+		return rep, fmt.Errorf("shard: rebalance controller: %w", run.StepErr)
+	case run.DeviceErr() != nil:
+		return rep, fmt.Errorf("shard: device failed: %w", run.DeviceErr())
+	case rep.Decisions != total:
+		return rep, fmt.Errorf("shard: acked %d decisions, want %d (lost or duplicated)", rep.Decisions, total)
+	case rep.Mismatches > 0:
+		return rep, fmt.Errorf("shard: %d device(s) diverged from the single-process oracle", rep.Mismatches)
+	case cfg.Rebalance && rep.Moved == 0:
+		return rep, fmt.Errorf("shard: rebalance moved no sessions — the handoff path was not exercised")
+	case hygieneErr != nil:
+		return rep, fmt.Errorf("shard: %w", hygieneErr)
+	}
+	return rep, nil
+}
+
+// runShardedFleet stands up the shards, the router and its front, and the
+// optional fault proxy, drives the device fleet through them — with the
+// remove and the add as steps at a third and two thirds of the run — and
+// tears it all down before returning. It records the router's handoff
+// counters and the rebalance's victim and newcomer in rep.
+func runShardedFleet(ctx context.Context, model *serve.Model, cfg RebalanceConfig, rep *RebalanceReport) (*serve.FleetRun, error) {
+	// The fleet: N checkpoint-hydrated replicas.
+	fleet, err := NewFleet(model, cfg.Shards, serve.Config{})
+	if err != nil {
+		return nil, err
 	}
 	defer fleet.Close()
 
 	// The router, fronting the fleet on the device's chosen protocol.
-	router, err := NewRouter(RouterConfig{
-		RingSeed:    cfg.Seed,
-		CallTimeout: cfg.CallTimeout,
-	}, fleet.Specs())
+	router, err := NewRouter(RouterConfig{RingSeed: cfg.Seed, CallTimeout: rebalanceCallTimeout}, fleet.Specs())
 	if err != nil {
-		return rep, err
+		return nil, err
 	}
 	defer router.Close()
 
 	frontLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return rep, err
+		return nil, err
 	}
 	frontAddr := frontLn.Addr().String()
 	frontDone := make(chan error, 1)
@@ -218,314 +229,78 @@ func RunRebalance(ctx context.Context, model *serve.Model, cfg RebalanceConfig) 
 
 	// Optional fault proxy between devices and the router.
 	deviceAddr := frontAddr
-	var proxy *chaos.Proxy
 	if cfg.Faults != (chaos.Config{}) {
 		faults := cfg.Faults
 		if faults.Seed == 0 {
 			faults.Seed = cfg.Seed
 		}
-		proxy, err = chaos.NewProxy(frontAddr, faults)
+		proxy, err := chaos.NewProxy(frontAddr, faults)
 		if err != nil {
-			return rep, err
+			return nil, err
 		}
 		defer proxy.Close()
 		deviceAddr = proxy.Addr()
 	}
 
-	// Clients.
-	var bc *serve.BinClient
-	var hc *serve.Client
-	var open func(context.Context, serve.SessionOptions) (devSession, error)
-	if cfg.Proto == "bin" {
-		bc = serve.NewBinClient(deviceAddr)
-		bc.SetCallTimeout(cfg.CallTimeout)
-		bc.SetRetryBudget(cfg.RetryBudget)
-		defer bc.Close()
-		open = func(ctx context.Context, o serve.SessionOptions) (devSession, error) { return bc.OpenSession(ctx, o) }
-	} else {
-		hc = serve.NewClient("http://" + deviceAddr)
-		hc.SetCallTimeout(cfg.CallTimeout)
-		hc.SetRetryBudget(cfg.RetryBudget)
-		defer hc.CloseIdleConnections()
-		open = func(ctx context.Context, o serve.SessionOptions) (devSession, error) { return hc.CreateSession(ctx, o) }
-	}
-
-	total := uint64(cfg.Devices) * uint64(cfg.Periods)
-	gate1At, gate2At := total/3, 2*total/3
-	var acked atomic.Uint64
-
-	// Rebalance controller: remove the most-loaded shard at a third of the
-	// run, add a fresh shard at two thirds. Devices that crossed a
-	// threshold hold before their next decide until the membership change
-	// lands, so both changes are guaranteed to happen mid-stream with
-	// sessions live on the moving keyspace.
-	gate1, gate2 := make(chan struct{}), make(chan struct{})
-	ctrlDone := make(chan error, 1)
-	if !cfg.Rebalance {
-		close(gate1)
-		close(gate2)
-		ctrlDone <- nil
-	} else {
-		go func() {
-			fail := func(err error) {
-				close(gate1)
-				close(gate2)
-				ctrlDone <- err
-			}
-			waitFor := func(n uint64) error {
-				guard := time.Now().Add(60 * time.Second)
-				for acked.Load() < n {
-					if ctx.Err() != nil {
-						return ctx.Err()
+	// The rebalance: remove the most-loaded shard at a third of the run,
+	// add a fresh shard at two thirds, so both changes land mid-stream
+	// with sessions live on the moving keyspace.
+	var steps []serve.FleetStep
+	if cfg.Rebalance {
+		total := uint64(cfg.Devices) * uint64(cfg.Periods)
+		steps = []serve.FleetStep{
+			{At: total / 3, Do: func() error {
+				victim := mostLoaded(router.shardLoads())
+				rep.Removed = victim
+				if cfg.Kill {
+					// Abrupt: the shard dies with sessions live, then leaves
+					// the ring. Devices see forward failures until the
+					// remove lands.
+					if err := fleet.KillShard(victim); err != nil {
+						return err
 					}
-					if time.Now().After(guard) {
-						return fmt.Errorf("shard: fleet stalled before rebalance point (%d/%d acked)", acked.Load(), n)
-					}
-					time.Sleep(2 * time.Millisecond)
+					return router.RemoveShard(victim)
 				}
-				return nil
-			}
-			if err := waitFor(gate1At); err != nil {
-				fail(err)
-				return
-			}
-			// Victim: most live sessions, name-ordered tie-break — fully
-			// deterministic for a given seed and schedule.
-			loads := router.shardLoads()
-			names := make([]string, 0, len(loads))
-			for n := range loads {
-				names = append(names, n)
-			}
-			sort.Strings(names)
-			victim := names[0]
-			for _, n := range names {
-				if loads[n] > loads[victim] {
-					victim = n
-				}
-			}
-			rep.Removed = victim
-			if cfg.Kill {
-				// Abrupt: the shard dies with sessions live, then leaves the
-				// ring. Devices see forward failures until the remove lands.
-				if err := fleet.KillShard(victim); err != nil {
-					fail(err)
-					return
-				}
-				if err := router.RemoveShard(victim); err != nil {
-					fail(err)
-					return
-				}
-			} else {
 				// Graceful: leave the ring first (handoff signals fire, no
 				// new forwards), then stop the drained shard.
 				if err := router.RemoveShard(victim); err != nil {
-					fail(err)
-					return
+					return err
 				}
-				if err := fleet.StopShard(victim); err != nil {
-					fail(err)
-					return
+				return fleet.StopShard(victim)
+			}},
+			{At: 2 * total / 3, Do: func() error {
+				spec, err := fleet.AddShard()
+				if err != nil {
+					return err
 				}
-			}
-			close(gate1)
-			if err := waitFor(gate2At); err != nil {
-				close(gate2)
-				ctrlDone <- err
-				return
-			}
-			spec, err := fleet.AddShard()
-			if err != nil {
-				close(gate2)
-				ctrlDone <- err
-				return
-			}
-			if err := router.AddShard(spec); err != nil {
-				close(gate2)
-				ctrlDone <- err
-				return
-			}
-			rep.Added = spec.Name
-			close(gate2)
-			ctrlDone <- nil
-		}()
+				if err := router.AddShard(spec); err != nil {
+					return err
+				}
+				rep.Added = spec.Name
+				return nil
+			}},
+		}
 	}
-
-	// The device fleet.
-	sequences := make([][]int, cfg.Devices)
-	devErrs := make([]error, cfg.Devices)
-	var wg sync.WaitGroup
-	for d := 0; d < cfg.Devices; d++ {
-		wg.Add(1)
-		go func(idx int) {
-			defer wg.Done()
-			seed := serve.DeviceSeed(cfg.Seed, idx)
-			sess, err := open(ctx, serve.SessionOptions{Epsilon: cfg.Epsilon, Seed: seed})
-			if err != nil {
-				devErrs[idx] = fmt.Errorf("device %d open: %w", idx, err)
-				return
-			}
-			decide := func(_ int, obs []serve.Observation) ([]int, error) {
-				lv, err := sess.Decide(ctx, obs)
-				if err == nil {
-					a := acked.Add(1)
-					if a >= gate1At {
-						select {
-						case <-gate1:
-						case <-ctx.Done():
-							return nil, ctx.Err()
-						}
-					}
-					if a >= gate2At {
-						select {
-						case <-gate2:
-						case <-ctx.Done():
-							return nil, ctx.Err()
-						}
-					}
-				}
-				return lv, err
-			}
-			reward := func(r float64) error {
-				_, err := sess.Reward(ctx, r)
-				return err
-			}
-			sequences[idx], err = serve.RunDeviceSim(serve.DeviceSimConfig{
-				Scenario:    cfg.Scenario,
-				Periods:     cfg.Periods,
-				Seed:        seed,
-				PeriodS:     rebalancePeriodS,
-				RewardEvery: cfg.RewardEvery,
-			}, decide, reward)
-			if err != nil {
-				devErrs[idx] = fmt.Errorf("device %d: %w", idx, err)
-				return
-			}
-			cctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			if _, err := sess.Close(cctx); err != nil {
-				devErrs[idx] = fmt.Errorf("device %d close: %w", idx, err)
-			}
-		}(d)
-	}
-	wg.Wait()
-	ctrlErr := <-ctrlDone
-
-	rep.Decisions = acked.Load()
-	rep.DurationS = time.Since(start).Seconds()
+	run := serve.RunFleet(ctx, deviceAddr, cfg.fleet(), steps)
 	rep.Moved = router.movedSessions.Load()
 	rep.RouterResumes = router.resumesFwd.Load()
 	rep.ForwardErrors = router.forwardErrors.Load()
-	if bc != nil {
-		st := bc.TransportStats()
-		rep.Dials, rep.Retries, rep.Resumes = st.Dials, st.Retries, st.Resumes
-	}
-	if hc != nil {
-		st := hc.TransportStats()
-		rep.Retries, rep.Resumes = st.Retries, st.Resumes
-	}
-
-	// Fault-free single-process oracle over the same model: the sharded
-	// fleet must be byte-identical, device for device.
-	if err := func() error {
-		oracle, err := serve.New(model, nil, serve.Config{})
-		if err != nil {
-			return err
-		}
-		defer oracle.Close()
-		for idx := 0; idx < cfg.Devices; idx++ {
-			if devErrs[idx] != nil {
-				continue
-			}
-			seed := serve.DeviceSeed(cfg.Seed, idx)
-			sess, err := oracle.CreateSession(serve.SessionOptions{Epsilon: cfg.Epsilon, Seed: seed})
-			if err != nil {
-				return err
-			}
-			want, err := serve.RunDeviceSim(serve.DeviceSimConfig{
-				Scenario:    cfg.Scenario,
-				Periods:     cfg.Periods,
-				Seed:        seed,
-				PeriodS:     rebalancePeriodS,
-				RewardEvery: cfg.RewardEvery,
-			}, func(_ int, obs []serve.Observation) ([]int, error) {
-				return sess.Decide(obs)
-			}, nil)
-			if err != nil {
-				return fmt.Errorf("oracle device %d: %w", idx, err)
-			}
-			if !equalSeq(sequences[idx], want) {
-				rep.Mismatches++
-			}
-		}
-		return nil
-	}(); err != nil {
-		return rep, err
-	}
-
-	// Teardown before hygiene so the front/router/fleet goroutines count
-	// against the baseline.
-	if proxy != nil {
-		proxy.Close()
-	}
-	if bc != nil {
-		bc.Close()
-	}
-	if hc != nil {
-		hc.CloseIdleConnections()
-	}
-	if hs != nil {
-		hs.Close()
-		hs = nil
-	}
-	frontLn.Close()
-	router.Close()
-	fleet.Close()
-
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > rep.GoroutinesStart && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	runtime.GC()
-	runtime.ReadMemStats(&ms)
-	rep.GoroutinesEnd = runtime.NumGoroutine()
-	rep.HeapAllocEnd = ms.HeapAlloc
-
-	switch {
-	case ctrlErr != nil:
-		return rep, fmt.Errorf("shard: rebalance controller: %w", ctrlErr)
-	case firstDevErr(devErrs) != nil:
-		return rep, fmt.Errorf("shard: device failed: %w", firstDevErr(devErrs))
-	case rep.Decisions != total:
-		return rep, fmt.Errorf("shard: acked %d decisions, want %d (lost or duplicated)", rep.Decisions, total)
-	case rep.Mismatches > 0:
-		return rep, fmt.Errorf("shard: %d device(s) diverged from the single-process oracle", rep.Mismatches)
-	case cfg.Rebalance && rep.Moved == 0:
-		return rep, fmt.Errorf("shard: rebalance moved no sessions — the handoff path was not exercised")
-	case rep.GoroutinesEnd > rep.GoroutinesStart:
-		return rep, fmt.Errorf("shard: leaked goroutines: %d before, %d after", rep.GoroutinesStart, rep.GoroutinesEnd)
-	case rep.HeapAllocEnd > rep.HeapAllocStart+256<<20:
-		return rep, fmt.Errorf("shard: heap grew %d bytes", rep.HeapAllocEnd-rep.HeapAllocStart)
-	}
-	return rep, nil
+	return run, nil
 }
 
-func equalSeq(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
+// mostLoaded picks the shard with the most live sessions, name-ordered on
+// a tie — fully deterministic for a given seed and schedule.
+func mostLoaded(loads map[string]int) string {
+	names := make([]string, 0, len(loads))
+	for n := range loads {
+		names = append(names, n)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	sort.Strings(names)
+	victim := names[0]
+	for _, n := range names {
+		if loads[n] > loads[victim] {
+			victim = n
 		}
 	}
-	return true
-}
-
-func firstDevErr(errs []error) error {
-	for _, e := range errs {
-		if e != nil {
-			return e
-		}
-	}
-	return nil
+	return victim
 }

@@ -31,13 +31,10 @@ type ScaleConfig struct {
 	Workers int
 	// Duration is the measured wall-clock window per point (default 10s).
 	Duration time.Duration
-	// Scenario, Seed, Epsilon, RewardEvery, PeriodsPerFrame pass through
-	// to the load generator.
-	Scenario        string
-	Seed            uint64
-	Epsilon         float64
-	RewardEvery     int
-	PeriodsPerFrame int
+	// Scenario, Seed, Epsilon pass through to the load generator.
+	Scenario string
+	Seed     uint64
+	Epsilon  float64
 }
 
 func (c ScaleConfig) withDefaults() ScaleConfig {
@@ -128,14 +125,12 @@ func runScalePoint(ctx context.Context, model *serve.Model, cfg ScaleConfig, n i
 			i, _ := ring.OwnerIndex(seed)
 			return i
 		},
-		Devices:         cfg.Devices,
-		Workers:         cfg.Workers,
-		Duration:        cfg.Duration,
-		Scenario:        cfg.Scenario,
-		Seed:            cfg.Seed,
-		Epsilon:         cfg.Epsilon,
-		RewardEvery:     cfg.RewardEvery,
-		PeriodsPerFrame: cfg.PeriodsPerFrame,
+		Devices:  cfg.Devices,
+		Workers:  cfg.Workers,
+		Duration: cfg.Duration,
+		Scenario: cfg.Scenario,
+		Seed:     cfg.Seed,
+		Epsilon:  cfg.Epsilon,
 	})
 	if err != nil {
 		return nil, err
